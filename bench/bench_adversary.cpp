@@ -19,8 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace hring;
-  const auto format = benchutil::output_format(argc, argv);
-  const bool smoke = benchutil::smoke_mode(argc, argv);
+  const auto [format, smoke] = benchutil::parse_options(argc, argv);
 
   const std::size_t kSamples = smoke ? 8 : 64;
   if (format != benchutil::Format::kJson) {

@@ -22,8 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace hring;
-  const auto format = benchutil::output_format(argc, argv);
-  const bool smoke = benchutil::smoke_mode(argc, argv);
+  const auto [format, smoke] = benchutil::parse_options(argc, argv);
 
   benchutil::headline(format,
                       "E4: B_k measured vs Theorem 4 (event engine, unit "

@@ -17,8 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace hring;
-  const auto format = benchutil::output_format(argc, argv);
-  const bool smoke = benchutil::smoke_mode(argc, argv);
+  const auto [format, smoke] = benchutil::parse_options(argc, argv);
 
   benchutil::headline(format,
                       "E2: A_k on fooling rings R_{n,k'} in U* \\ K_k "

@@ -15,8 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace hring;
-  const auto format = benchutil::output_format(argc, argv);
-  const bool smoke = benchutil::smoke_mode(argc, argv);
+  const auto [format, smoke] = benchutil::parse_options(argc, argv);
 
   benchutil::headline(format,
                       "E1: synchronous steps vs the Lemma 1 lower bound "

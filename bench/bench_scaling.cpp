@@ -5,16 +5,15 @@
 // exponent. Expected from the paper (k fixed):
 //   A_k: time Θ(n) -> slope ≈ 1;  messages Θ(n²) -> slope ≈ 2
 //   B_k: time Θ(n²) -> slope ≈ 2; messages Θ(n²) -> slope ≈ 2
-// The grid of elections is evaluated with core::parallel_map — each cell
-// seeds its own Rng from the cell index, so the table is identical for
-// any worker count.
+// Each cell seeds its own Rng from its index in the size list. The grid
+// runs serially: its largest cell (A_k at n = 256) dominates the wall
+// time, so a worker pool would not shorten it.
 #include <cmath>
 #include <iostream>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel_sweep.hpp"
 #include "ring/generator.hpp"
 #include "support/table.hpp"
 
@@ -47,8 +46,7 @@ double loglog_slope(const std::vector<Cell>& cells,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto format = benchutil::output_format(argc, argv);
-  const bool smoke = benchutil::smoke_mode(argc, argv);
+  const auto [format, smoke] = benchutil::parse_options(argc, argv);
   const std::size_t k = 2;
 
   if (format != benchutil::Format::kJson) {
@@ -65,20 +63,19 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{8, 16, 32, 64};
     // The fit needs >= 3 sizes; smoke keeps the three smallest.
     if (smoke) sizes.resize(3);
-    const auto cells = core::parallel_map<Cell>(
-        sizes.size(), [&](std::size_t i) {
-          const std::size_t n = sizes[i];
-          support::Rng rng(0xE11 + i);
-          const auto ring = ring::distinct_ring(n, rng);
-          core::ElectionConfig config;
-          config.algorithm = {algo, k, false};
-          config.engine = core::EngineKind::kEvent;
-          config.delay = core::DelayKind::kWorstCase;
-          const auto m = core::measure(ring, config);
-          HRING_ENSURES(m.ok());
-          return Cell{n, m.result.stats.time_units,
-                      static_cast<double>(m.result.stats.messages_sent)};
-        });
+    std::vector<Cell> cells;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      support::Rng rng(0xE11 + i);
+      const auto ring = ring::distinct_ring(sizes[i], rng);
+      core::ElectionConfig config;
+      config.algorithm = {algo, k, false};
+      config.engine = core::EngineKind::kEvent;
+      config.delay = core::DelayKind::kWorstCase;
+      const auto m = core::measure(ring, config);
+      HRING_ENSURES(m.ok());
+      cells.push_back({sizes[i], m.result.stats.time_units,
+                       static_cast<double>(m.result.stats.messages_sent)});
+    }
     for (const Cell& c : cells) {
       table.row()
           .cell(election::algorithm_name(algo))

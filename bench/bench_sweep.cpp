@@ -1,32 +1,28 @@
 // Campaign throughput: the batched sweep engine against the scalar
-// engine and the pre-campaign parallel_map task model.
+// engine.
 //
-// Every row runs the same grid of small-n elections three ways:
+// Every row runs the same grid of small-n elections two ways:
 //
-//   baseline  — parallel_map over run_election + verify_election, the
-//               task model the grid benches used before campaigns (one
-//               recycled scalar engine per worker, one task per cell);
 //   scalar    — run_campaign with the scalar backend (CellQueue span
-//               claiming, merged histograms, same per-cell work);
+//               claiming, merged histograms, one recycled scalar engine
+//               per worker);
 //   batch     — run_campaign with the batch backend (BatchRunner arena,
 //               batch_slots rings stepped per worker).
 //
-// All three derive per-cell seeds the same way, verify every terminal
+// Both derive per-cell seeds the same way, verify every terminal
 // configuration and elect identical leaders; the batch backend's Stats
 // are byte-identical to the scalar engine's (see
 // tests/integration/batch_engine_test), so the comparison is pure
 // execution-model overhead. The committed BENCH_sweep.json at the repo
-// root records this bench's --json output on the reference machine (see
-// docs/REPRODUCING.md for the schema and methodology).
-#include <chrono>
+// root records this bench's --json output on the reference machine,
+// next to the retired per-task baseline it was first measured against
+// (see docs/REPRODUCING.md for the schema and methodology).
 #include <cstdint>
 #include <iostream>
 
 #include "bench/bench_util.hpp"
 #include "core/campaign.hpp"
 #include "core/election_driver.hpp"
-#include "core/parallel_sweep.hpp"
-#include "core/verification.hpp"
 #include "ring/generator.hpp"
 #include "support/table.hpp"
 
@@ -35,26 +31,6 @@ namespace {
 using namespace hring;
 
 constexpr std::uint64_t kCampaignSeed = 0x5EEDCA;
-
-/// elections/sec of the pre-campaign task model on the same cell grid.
-double baseline_eps(const ring::LabeledRing& ring,
-                    const core::ElectionConfig& election, std::size_t cells,
-                    bool check_true_leader) {
-  const auto start = std::chrono::steady_clock::now();
-  core::parallel_map<unsigned char>(cells, [&](std::size_t i) {
-    core::ElectionConfig cell_config = election;
-    cell_config.seed = core::derive_cell_seeds(kCampaignSeed, i).election_seed;
-    cell_config.monitor_spec = false;
-    const auto result = core::run_election(ring, cell_config);
-    const auto verification =
-        core::verify_election(ring, result, check_true_leader);
-    HRING_ENSURES(verification.ok);
-    return static_cast<unsigned char>(1);
-  });
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return static_cast<double>(cells) / elapsed.count();
-}
 
 double campaign_eps(const ring::LabeledRing& ring,
                     const core::ElectionConfig& election, std::size_t cells,
@@ -74,16 +50,13 @@ double campaign_eps(const ring::LabeledRing& ring,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto format = benchutil::output_format(argc, argv);
-  const bool smoke = benchutil::smoke_mode(argc, argv);
+  const auto [format, smoke] = benchutil::parse_options(argc, argv);
 
   benchutil::headline(format,
-                      "campaign throughput: batch engine vs scalar engine "
-                      "vs parallel_map task model\n(identical cells, "
-                      "verified, same derived seeds)");
+                      "campaign throughput: batch engine vs scalar engine\n"
+                      "(identical cells, verified, same derived seeds)");
 
-  support::Table table({"algo", "n", "cells", "baseline el/s", "scalar el/s",
-                        "batch el/s", "batch/baseline"});
+  support::Table table({"algo", "n", "cells", "scalar el/s", "batch el/s"});
 
   struct Config {
     election::AlgorithmId algo;
@@ -116,8 +89,6 @@ int main(int argc, char** argv) {
     const bool check_true =
         election::elects_true_leader(config.algo);
 
-    const double base =
-        baseline_eps(ring, election, cells, check_true);
     const double scalar = campaign_eps(ring, election, cells, check_true,
                                        core::CampaignBackend::kScalar);
     const double batch = campaign_eps(ring, election, cells, check_true,
@@ -126,10 +97,8 @@ int main(int argc, char** argv) {
         .cell(election::algorithm_name(config.algo))
         .cell(static_cast<std::uint64_t>(config.n))
         .cell(static_cast<std::uint64_t>(cells))
-        .cell(static_cast<std::uint64_t>(base))
         .cell(static_cast<std::uint64_t>(scalar))
-        .cell(static_cast<std::uint64_t>(batch))
-        .cell(batch / base, 2);
+        .cell(static_cast<std::uint64_t>(batch));
   }
 
   benchutil::emit(table, format);

@@ -16,8 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace hring;
-  const auto format = benchutil::output_format(argc, argv);
-  const bool smoke = benchutil::smoke_mode(argc, argv);
+  const auto [format, smoke] = benchutil::parse_options(argc, argv);
   using Clock = std::chrono::steady_clock;
 
   const int kRuns = smoke ? 2 : 5;

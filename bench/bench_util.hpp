@@ -2,13 +2,14 @@
 // the aligned console table to RFC-4180 CSV, `--json` to a JSON array of
 // row objects (prose headlines and footers are suppressed so the stream
 // is machine-parseable), and `--smoke` asks the bench to shrink its grid
-// to a seconds-scale sanity pass — CI runs every binary that way.
+// to a seconds-scale sanity pass — CI runs every binary that way. Any
+// other argument is an error, so a typo cannot silently run the full grid.
 #pragma once
 
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "support/flags.hpp"
 #include "support/table.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_export.hpp"
@@ -17,24 +18,29 @@ namespace hring::benchutil {
 
 enum class Format { kTable, kCsv, kJson };
 
-[[nodiscard]] inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
+struct Options {
+  Format format = Format::kTable;
+  /// Run the smallest representative grid, trading statistical weight
+  /// for wall time.
+  bool smoke = false;
+};
 
-/// Output format requested on the command line.
-[[nodiscard]] inline Format output_format(int argc, char** argv) {
-  if (has_flag(argc, argv, "--json")) return Format::kJson;
-  if (has_flag(argc, argv, "--csv")) return Format::kCsv;
-  return Format::kTable;
-}
-
-/// True when `--smoke` is present: the bench should run its smallest
-/// representative grid, trading statistical weight for wall time.
-[[nodiscard]] inline bool smoke_mode(int argc, char** argv) {
-  return has_flag(argc, argv, "--smoke");
+/// Parses the bench command line; exits on --help (0) or a bad argument
+/// (1).
+[[nodiscard]] inline Options parse_options(int argc, char** argv) {
+  bool csv = false;
+  bool json = false;
+  Options options;
+  support::FlagTable flags("[options]");
+  flags.toggle("--csv", &csv, "RFC-4180 CSV instead of the console table")
+      .toggle("--json", &json,
+              "JSON array of row objects (prose dropped; wins\n"
+              "over --csv)")
+      .toggle("--smoke", &options.smoke,
+              "smallest representative grid (seconds)");
+  flags.parse_or_exit(argc, argv);
+  options.format = json ? Format::kJson : csv ? Format::kCsv : Format::kTable;
+  return options;
 }
 
 /// Prose line preceding a table — dropped in JSON mode, where the output

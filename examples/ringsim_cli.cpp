@@ -6,18 +6,18 @@
 //   $ ./ringsim_cli --ring 1,3,1,3,2,2,1,2 --algo Bk --k 3 --trace
 //   $ ./ringsim_cli --random-n 12 --k 2 --algo Ak --sched random-subset
 //   $ ./ringsim_cli --ring 1,2,3 --algo Peterson --engine event
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "core/campaign.hpp"
 #include "core/election_driver.hpp"
 #include "core/experiment.hpp"
-#include "core/parallel_sweep.hpp"
 #include "core/spec_audit.hpp"
 #include "core/verification.hpp"
 #include "ring/classes.hpp"
@@ -28,6 +28,7 @@
 #include "runtime/inhost/inhost_ring.hpp"
 #include "sim/render.hpp"
 #include "sim/trace.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
 #include "telemetry/telemetry_observer.hpp"
@@ -35,106 +36,91 @@
 
 namespace {
 
-void usage(const char* argv0) {
-  std::cout
-      << "usage: " << argv0 << " [run|audit|sweep|trace] [options]\n"
-      << "  run                 subcommand: run one election (the default\n"
-         "                      when no subcommand is given); --transport\n"
-         "                      selects the execution substrate\n"
-      << "  audit               subcommand: §II model-conformance audit of\n"
-         "                      the selected algorithm on the selected ring\n"
-         "                      (replay determinism, locality, message and\n"
-         "                      space bounds, FIFO discipline)\n"
-      << "  sweep               subcommand: run the election across many\n"
-         "                      consecutive seeds on a worker pool (one\n"
-         "                      row per run; identical for any --workers)\n"
-      << "  trace               subcommand: run once with telemetry attached\n"
-         "                      and emit a Perfetto/chrome://tracing JSON\n"
-         "                      timeline (to --trace-out, default stdout)\n"
-      << "  --ring A,B,C,...    clockwise labels (unsigned integers)\n"
-      << "  --random-n N        instead of --ring: random asymmetric ring\n"
-      << "  --spec FILE         load ring + config from a ringspec file\n"
-      << "  --algo NAME         Ak | Bk | ChangRoberts | LeLann | Peterson"
-         " (default Ak)\n"
-      << "  --k K               multiplicity bound for Ak/Bk (default: the"
-         " ring's actual one)\n"
-      << "  --transport T       run: sim (simulated daemon, default) |\n"
-         "                      threads (the in-host runtime: one OS\n"
-         "                      thread per process, lock-free byte links,\n"
-         "                      wire-framed messages)\n"
-      << "  --engine KIND       step | event (default step)\n"
-      << "  --sched KIND        synchronous | round-robin | random-single |"
-         " random-subset | convoy\n"
-      << "  --delay KIND        worst-case | uniform | slow-link (event"
-         " engine)\n"
-      << "  --seed S            randomness seed (default 1)\n"
-      << "  --trace             print the action-level trace\n"
-      << "  --trace-out FILE    write the telemetry timeline (Chrome\n"
-         "                      trace-event / Perfetto JSON) to FILE; with\n"
-         "                      run --transport=threads, the flight\n"
-         "                      recorder's trace of the real threads\n"
-      << "  --flight-out FILE   run --transport=threads: write the flight\n"
-         "                      recorder's forensic report (hring-forensics/1\n"
-         "                      JSON: per-thread last-K events, park state,\n"
-         "                      watchdog verdict) to FILE\n"
-      << "  --watchdog-ms N     run --transport=threads: watchdog quiet\n"
-         "                      period in milliseconds, N > 0 (still floored\n"
-         "                      at 4ms x ring size — see docs/RUNTIME.md)\n"
-      << "  --metrics-out FILE  write the telemetry metrics document\n"
-         "                      (counters + histograms) to FILE; with\n"
-         "                      sweep, registries of all runs are merged\n"
-      << "  --watch N           render the configuration every N steps\n"
-      << "  --model-check       exhaustively verify EVERY schedule (small\n"
-         "                      rings; Ak/Bk only) instead of one run\n"
-      << "  --json              emit the full run report as JSON\n"
-      << "  --quiet             outcome + stats only\n"
-      << "  --runs N            sweep: number of cells (default 16;\n"
-         "                      --cells is an alias)\n"
-      << "  --workers W         sweep: worker threads, >= 1 (default:"
-         " hardware concurrency)\n"
-      << "  --campaign          sweep: statistical campaign mode — print\n"
-         "                      merged percentiles + throughput instead of\n"
-         "                      one row per run; with --random-n, every\n"
-         "                      cell samples its own asymmetric ring\n"
-      << "  --backend B         sweep: auto | batch | scalar (default"
-         " auto)\n"
-      << "  --no-verify         sweep: skip terminal-state verification\n";
+using namespace hring;
+
+constexpr char kSubcommands[] =
+    "  run                 subcommand: run one election (the default\n"
+    "                      when no subcommand is given); --transport\n"
+    "                      selects the execution substrate\n"
+    "  audit               subcommand: §II model-conformance audit of\n"
+    "                      the selected algorithm on the selected ring\n"
+    "                      (replay determinism, locality, message and\n"
+    "                      space bounds, FIFO discipline)\n"
+    "  sweep               subcommand: run the election across many\n"
+    "                      consecutive seeds on a worker pool (one\n"
+    "                      row per run; identical for any --workers)\n"
+    "  trace               subcommand: run once with telemetry attached\n"
+    "                      and emit a Perfetto/chrome://tracing JSON\n"
+    "                      timeline (to --trace-out, default stdout)\n";
+
+constexpr std::array kEngines{core::EngineKind::kStep,
+                              core::EngineKind::kEvent};
+constexpr std::array kSchedulers{
+    core::SchedulerKind::kSynchronous, core::SchedulerKind::kRoundRobin,
+    core::SchedulerKind::kRandomSingle, core::SchedulerKind::kRandomSubset,
+    core::SchedulerKind::kConvoy};
+constexpr std::array kDelays{core::DelayKind::kWorstCase,
+                             core::DelayKind::kUniformRandom,
+                             core::DelayKind::kSlowLink};
+constexpr std::array kBackends{core::CampaignBackend::kAuto,
+                               core::CampaignBackend::kBatch,
+                               core::CampaignBackend::kScalar};
+constexpr std::array kTransports{false, true};  // is --transport threads?
+
+/// The Stats fields a --campaign summary reports percentiles of.
+constexpr const char* kCampaignStats[] = {
+    "steps", "messages_sent", "time_units", "peak_space_bits",
+    "label_comparisons"};
+
+/// --delay spells the uniform model `uniform`, as ringspec files do.
+const char* delay_flag_name(core::DelayKind kind) {
+  return kind == core::DelayKind::kUniformRandom
+             ? "uniform"
+             : core::delay_kind_name(kind);
 }
 
-std::optional<hring::words::LabelSequence> parse_ring(const std::string& s) {
-  hring::words::LabelSequence labels;
-  std::stringstream ss(s);
+std::optional<words::LabelSequence> parse_ring(std::string_view s) {
+  words::LabelSequence labels;
+  std::stringstream ss{std::string(s)};
   std::string item;
   while (std::getline(ss, item, ',')) {
-    try {
-      labels.emplace_back(std::stoull(item));
-    } catch (...) {
-      return std::nullopt;
-    }
+    const auto label = support::parse_u64(item);
+    if (!label) return std::nullopt;
+    labels.emplace_back(*label);
   }
   if (labels.size() < 2) return std::nullopt;
   return labels;
 }
 
+/// Writes one output document to `path` (nothing when `path` is empty); a
+/// non-null `echo` announces it on stdout. False when the file cannot be
+/// opened.
+template <class Write>
+bool write_file(const std::string& path, const char* echo, Write&& write) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "cannot open " << path << "\n";
+    return false;
+  }
+  write(out);
+  if (echo != nullptr) std::cout << echo << path << "\n";
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace hring;
-
   std::optional<words::LabelSequence> labels;
   std::optional<core::RingSpec> spec;
   std::size_t random_n = 0;
-  std::string algo_name = "Ak";
-  bool algo_set = false;
+  std::optional<election::AlgorithmId> algo_flag;
   std::size_t k = 0;
   core::ElectionConfig config;
   bool trace_enabled = false;
   bool quiet = false;
   bool model_check = false;
   bool json = false;
-  bool audit = false;
-  bool sweep = false;
-  bool trace_cmd = false;
   std::string trace_out;
   std::string metrics_out;
   std::string flight_out;
@@ -143,195 +129,106 @@ int main(int argc, char** argv) {
   std::size_t runs = 16;
   std::size_t workers = 0;
   bool campaign_mode = false;
-  bool verify = true;
+  bool no_verify = false;
   bool threads_transport = false;
   core::CampaignBackend backend = core::CampaignBackend::kAuto;
 
-  int first_arg = 1;
-  if (argc > 1 && std::string(argv[1]) == "run") {
-    // The default mode, named: `run` exists so scripts can say what they
-    // mean (`ringsim_cli run --transport=threads ...`).
-    first_arg = 2;
-  } else if (argc > 1 && std::string(argv[1]) == "audit") {
-    audit = true;
-    first_arg = 2;
-  } else if (argc > 1 && std::string(argv[1]) == "sweep") {
-    sweep = true;
-    first_arg = 2;
-  } else if (argc > 1 && std::string(argv[1]) == "trace") {
-    trace_cmd = true;
-    first_arg = 2;
-  }
+  // `run` is the default mode, named so scripts can say what they mean
+  // (`ringsim_cli run --transport=threads ...`).
+  const std::string_view command = argc > 1 ? argv[1] : "";
+  const bool audit = command == "audit";
+  const bool sweep = command == "sweep";
+  const bool trace_cmd = command == "trace";
+  const int first_arg = audit || sweep || trace_cmd || command == "run" ? 2 : 1;
 
-  for (int i = first_arg; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(EXIT_FAILURE);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ring") {
-      labels = parse_ring(next());
-      if (!labels) {
-        std::cerr << "bad --ring (need >= 2 comma-separated integers)\n";
-        return EXIT_FAILURE;
-      }
-    } else if (arg == "--spec") {
-      std::ifstream file(next());
-      if (!file) {
-        std::cerr << "cannot open spec file\n";
-        return EXIT_FAILURE;
-      }
-      auto parsed = core::parse_ringspec(file);
-      if (parsed.error.has_value()) {
-        std::cerr << "spec error: " << parsed.error->to_string() << "\n";
-        return EXIT_FAILURE;
-      }
-      spec = std::move(parsed.spec);
-    } else if (arg == "--random-n") {
-      random_n = static_cast<std::size_t>(std::stoull(next()));
-    } else if (arg == "--algo") {
-      algo_name = next();
-      algo_set = true;
-    } else if (arg == "--k") {
-      k = static_cast<std::size_t>(std::stoull(next()));
-    } else if (arg == "--transport" || arg.rfind("--transport=", 0) == 0) {
-      const std::string v =
-          arg == "--transport" ? next() : arg.substr(sizeof("--transport=") - 1);
-      if (v == "sim") {
-        threads_transport = false;
-      } else if (v == "threads") {
-        threads_transport = true;
-      } else {
-        std::cerr << "unknown transport '" << v << "' (sim | threads)\n";
-        return EXIT_FAILURE;
-      }
-    } else if (arg == "--engine") {
-      const std::string v = next();
-      if (v == "step") {
-        config.engine = core::EngineKind::kStep;
-      } else if (v == "event") {
-        config.engine = core::EngineKind::kEvent;
-      } else {
-        std::cerr << "bad --engine\n";
-        return EXIT_FAILURE;
-      }
-    } else if (arg == "--sched") {
-      const std::string v = next();
-      if (v == "synchronous") {
-        config.scheduler = core::SchedulerKind::kSynchronous;
-      } else if (v == "round-robin") {
-        config.scheduler = core::SchedulerKind::kRoundRobin;
-      } else if (v == "random-single") {
-        config.scheduler = core::SchedulerKind::kRandomSingle;
-      } else if (v == "random-subset") {
-        config.scheduler = core::SchedulerKind::kRandomSubset;
-      } else if (v == "convoy") {
-        config.scheduler = core::SchedulerKind::kConvoy;
-      } else {
-        std::cerr << "bad --sched\n";
-        return EXIT_FAILURE;
-      }
-    } else if (arg == "--delay") {
-      const std::string v = next();
-      if (v == "worst-case") {
-        config.delay = core::DelayKind::kWorstCase;
-      } else if (v == "uniform") {
-        config.delay = core::DelayKind::kUniformRandom;
-      } else if (v == "slow-link") {
-        config.delay = core::DelayKind::kSlowLink;
-      } else {
-        std::cerr << "bad --delay\n";
-        return EXIT_FAILURE;
-      }
-    } else if (arg == "--seed") {
-      config.seed = std::stoull(next());
-    } else if (arg == "--trace") {
-      trace_enabled = true;
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else if (arg == "--metrics-out") {
-      metrics_out = next();
-    } else if (arg == "--flight-out" || arg.rfind("--flight-out=", 0) == 0) {
-      flight_out = arg == "--flight-out"
-                       ? next()
-                       : arg.substr(sizeof("--flight-out=") - 1);
-    } else if (arg == "--watchdog-ms" ||
-               arg.rfind("--watchdog-ms=", 0) == 0) {
-      const std::string v = arg == "--watchdog-ms"
-                                ? next()
-                                : arg.substr(sizeof("--watchdog-ms=") - 1);
-      long long parsed = 0;
-      try {
-        std::size_t pos = 0;
-        parsed = std::stoll(v, &pos);
-        if (pos != v.size()) throw std::invalid_argument(v);
-      } catch (...) {
-        std::cerr << "bad --watchdog-ms '" << v
-                  << "': need a positive integer (milliseconds)\n";
-        return EXIT_FAILURE;
-      }
-      if (parsed <= 0) {
-        std::cerr << "bad --watchdog-ms " << parsed
-                  << ": need a positive quiet period in milliseconds\n";
-        return EXIT_FAILURE;
-      }
-      watchdog_ms = static_cast<std::uint64_t>(parsed);
-    } else if (arg == "--watch") {
-      watch_every = std::stoull(next());
-    } else if (arg == "--model-check") {
-      model_check = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--runs" || arg == "--cells") {
-      runs = static_cast<std::size_t>(std::stoull(next()));
-    } else if (arg == "--workers") {
-      const std::string v = next();
-      long long parsed = 0;
-      try {
-        std::size_t pos = 0;
-        parsed = std::stoll(v, &pos);
-        if (pos != v.size()) throw std::invalid_argument(v);
-      } catch (...) {
-        std::cerr << "bad --workers '" << v
-                  << "': need a positive integer\n";
-        return EXIT_FAILURE;
-      }
-      if (parsed <= 0) {
-        std::cerr << "bad --workers " << parsed
-                  << ": need at least 1 worker thread\n";
-        return EXIT_FAILURE;
-      }
-      workers = static_cast<std::size_t>(parsed);
-    } else if (arg == "--campaign") {
-      campaign_mode = true;
-    } else if (arg == "--backend") {
-      const std::string v = next();
-      if (v == "auto") {
-        backend = core::CampaignBackend::kAuto;
-      } else if (v == "batch") {
-        backend = core::CampaignBackend::kBatch;
-      } else if (v == "scalar") {
-        backend = core::CampaignBackend::kScalar;
-      } else {
-        std::cerr << "bad --backend (auto | batch | scalar)\n";
-        return EXIT_FAILURE;
-      }
-    } else if (arg == "--no-verify") {
-      verify = false;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return EXIT_SUCCESS;
-    } else {
-      std::cerr << "unknown option " << arg << "\n";
-      usage(argv[0]);
-      return EXIT_FAILURE;
-    }
-  }
+  support::FlagTable flags("[run|audit|sweep|trace] [options]",
+                           kSubcommands);
+  flags
+      .custom("--ring", "A,B,C,...", "clockwise labels (unsigned integers)",
+              [&labels](std::string_view v) {
+                labels = parse_ring(v);
+                return std::string(
+                    labels ? ""
+                           : "bad --ring (need >= 2 comma-separated "
+                             "integers)");
+              })
+      .integer("--random-n", "N", &random_n,
+               "instead of --ring: random asymmetric ring")
+      .custom("--spec", "FILE", "load ring + config from a ringspec file",
+              [&spec](std::string_view path) -> std::string {
+                std::ifstream file{std::string(path)};
+                if (!file) return "cannot open spec file";
+                auto parsed = core::parse_ringspec(file);
+                if (parsed.error) {
+                  return "spec error: " + parsed.error->to_string();
+                }
+                spec = std::move(parsed.spec);
+                return "";
+              })
+      .choice("--algo", "NAME", &algo_flag, election::all_algorithms(),
+              election::algorithm_name, "(default Ak)", "algorithm")
+      .integer("--k", "K", &k,
+               "multiplicity bound for Ak/Bk (default: the ring's actual "
+               "one)")
+      .choice("--transport", "T", &threads_transport, kTransports,
+              [](bool threads) { return threads ? "threads" : "sim"; },
+              "(run; default sim): sim is the simulated\n"
+              "daemon; threads is the in-host runtime (one OS\n"
+              "thread per process, lock-free byte links,\n"
+              "wire-framed messages)",
+              "transport")
+      .choice("--engine", "KIND", &config.engine, kEngines,
+              core::engine_kind_name, "(default step)")
+      .choice("--sched", "KIND", &config.scheduler, kSchedulers,
+              core::scheduler_kind_name, "(default synchronous)")
+      .choice("--delay", "KIND", &config.delay, kDelays, delay_flag_name,
+              "(event engine)")
+      .integer("--seed", "S", &config.seed, "randomness seed (default 1)")
+      .toggle("--trace", &trace_enabled, "print the action-level trace")
+      .text("--trace-out", "FILE", &trace_out,
+            "write the telemetry timeline (Chrome\n"
+            "trace-event / Perfetto JSON) to FILE; with\n"
+            "run --transport=threads, the flight\n"
+            "recorder's trace of the real threads")
+      .text("--flight-out", "FILE", &flight_out,
+            "run --transport=threads: write the flight\n"
+            "recorder's forensic report (hring-forensics/1\n"
+            "JSON: per-thread last-K events, park state,\n"
+            "watchdog verdict) to FILE")
+      .integer<std::uint64_t>(
+          "--watchdog-ms", "N", &watchdog_ms,
+          "run --transport=threads: watchdog quiet\n"
+          "period in milliseconds, N > 0 (still floored\n"
+          "at 4ms x ring size — see docs/RUNTIME.md)",
+          1, "need a positive quiet period in milliseconds")
+      .text("--metrics-out", "FILE", &metrics_out,
+            "write the telemetry metrics document\n"
+            "(counters + histograms) to FILE; with\n"
+            "sweep, registries of all runs are merged")
+      .integer("--watch", "N", &watch_every,
+               "render the configuration every N steps")
+      .toggle("--model-check", &model_check,
+              "exhaustively verify EVERY schedule (small\n"
+              "rings; Ak/Bk only) instead of one run")
+      .toggle("--json", &json, "emit the full run report as JSON")
+      .toggle("--quiet", &quiet, "outcome + stats only")
+      .integer("--runs", "N", &runs, "sweep: number of cells (default 16)")
+      .integer("--cells", "N", &runs, "sweep: alias of --runs")
+      .integer<std::size_t>("--workers", "W", &workers,
+                            "sweep: worker threads, >= 1 (default:\n"
+                            "hardware concurrency)",
+                            1, "need at least 1 worker thread")
+      .toggle("--campaign", &campaign_mode,
+              "sweep: statistical campaign mode — print\n"
+              "merged percentiles + throughput instead of\n"
+              "one row per run; with --random-n, every\n"
+              "cell samples its own asymmetric ring")
+      .choice("--backend", "B", &backend, kBackends,
+              core::campaign_backend_name, "(sweep; default auto)")
+      .toggle("--no-verify", &no_verify,
+              "sweep: skip terminal-state verification");
+  flags.parse_or_exit(argc, argv, first_arg);
+  const bool verify = !no_verify;
 
   if (threads_transport) {
     // The in-host runtime executes one election on real threads; the
@@ -361,9 +258,7 @@ int main(int argc, char** argv) {
     ring.emplace(spec->ring);
     config = spec->config;
     // The spec's algorithm wins unless --algo was passed explicitly.
-    if (!algo_set) {
-      algo_name = election::algorithm_name(config.algorithm.id);
-    }
+    if (!algo_flag) algo_flag = config.algorithm.id;
     if (k == 0) k = config.algorithm.k;
   } else if (labels) {
     ring.emplace(*labels);
@@ -377,15 +272,11 @@ int main(int argc, char** argv) {
       return EXIT_FAILURE;
     }
   } else {
-    usage(argv[0]);
+    flags.print_help(std::cout, argv[0]);
     return EXIT_FAILURE;
   }
-
-  const auto algo = election::algorithm_from_name(algo_name);
-  if (!algo) {
-    std::cerr << "unknown algorithm " << algo_name << "\n";
-    return EXIT_FAILURE;
-  }
+  const election::AlgorithmId algo =
+      algo_flag.value_or(election::AlgorithmId::kAk);
 
   if (json) quiet = true;  // JSON owns stdout
   // `trace` without --trace-out streams the timeline JSON to stdout.
@@ -394,12 +285,16 @@ int main(int argc, char** argv) {
 
   const auto report = ring::classify(*ring);
   if (k == 0) k = report.min_k();
-  config.algorithm = {*algo, k, false};
+  config.algorithm = {algo, k, false};
+  // A_k/B_k must elect the paper's true leader (on asymmetric rings); the
+  // baselines elect by other rules.
+  const bool check_true =
+      election::elects_true_leader(algo) && report.asymmetric;
 
   if (!quiet) {
     std::cout << "ring:  " << ring->to_string() << "\n";
     std::cout << "class: " << report.to_string() << "\n";
-    std::cout << "algo:  " << election::algorithm_name(*algo)
+    std::cout << "algo:  " << election::algorithm_name(algo)
               << " (k = " << k << ")\n";
     if (!election::ring_in_algorithm_class(config.algorithm, *ring)) {
       std::cout << "warning: ring is OUTSIDE the algorithm's class — "
@@ -420,44 +315,32 @@ int main(int argc, char** argv) {
         *ring, election::make_factory(config.algorithm), inhost_config);
 
     if (result.forensics.has_value()) {
-      if (!flight_out.empty()) {
-        std::ofstream out(flight_out);
-        if (!out) {
-          std::cerr << "cannot open " << flight_out << "\n";
-          return EXIT_FAILURE;
-        }
-        runtime::write_forensics_json(out, *result.forensics);
-        if (!quiet && !json) std::cout << "flight:  " << flight_out << "\n";
-      }
-      if (!trace_out.empty()) {
-        std::ofstream out(trace_out);
-        if (!out) {
-          std::cerr << "cannot open " << trace_out << "\n";
-          return EXIT_FAILURE;
-        }
-        runtime::write_flight_trace_json(out, *result.forensics);
-        if (!quiet && !json) std::cout << "trace:   " << trace_out << "\n";
-      }
-    }
-
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      if (!out) {
-        std::cerr << "cannot open " << metrics_out << "\n";
+      const auto& forensics = *result.forensics;
+      if (!write_file(flight_out, quiet ? nullptr : "flight:  ",
+                      [&](std::ostream& out) {
+                        runtime::write_forensics_json(out, forensics);
+                      })) {
         return EXIT_FAILURE;
       }
-      telemetry::write_metrics_json(out, result.metrics);
-      if (!quiet && !json) std::cout << "metrics: " << metrics_out << "\n";
+      if (!write_file(trace_out, quiet ? nullptr : "trace:   ",
+                      [&](std::ostream& out) {
+                        runtime::write_flight_trace_json(out, forensics);
+                      })) {
+        return EXIT_FAILURE;
+      }
+    }
+    if (!write_file(metrics_out, quiet ? nullptr : "metrics: ",
+                    [&](std::ostream& out) {
+                      telemetry::write_metrics_json(out, result.metrics);
+                    })) {
+      return EXIT_FAILURE;
     }
 
     const auto leader = result.leader_pid();
-    bool ok = result.outcome == sim::Outcome::kTerminated &&
-              leader.has_value() && result.wire_rejects == 0 &&
-              result.sends_abandoned == 0;
-    if (ok && election::elects_true_leader(*algo) && report.asymmetric &&
-        *leader != ring->true_leader()) {
-      ok = false;
-    }
+    const bool ok = result.outcome == sim::Outcome::kTerminated &&
+                    leader.has_value() && result.wire_rejects == 0 &&
+                    result.sends_abandoned == 0 &&
+                    (!check_true || *leader == ring->true_leader());
     const double seconds =
         static_cast<double>(result.elapsed_ns) / 1e9;
 
@@ -515,7 +398,6 @@ int main(int argc, char** argv) {
     // per-cell seeds derived from (seed, index), backend auto-selected.
     // The classic table mode streams per-cell rows through the campaign's
     // cell sink; --campaign prints the merged percentile summary instead.
-    const bool want_metrics = !metrics_out.empty();
     core::SweepConfig sweep_config;
     sweep_config.election = config;
     sweep_config.cells = runs;
@@ -523,8 +405,8 @@ int main(int argc, char** argv) {
     sweep_config.workers = workers;
     sweep_config.backend = backend;
     sweep_config.verify = verify;
-    sweep_config.collect_telemetry = want_metrics;
-    sweep_config.check_true_leader = election::elects_true_leader(*algo);
+    sweep_config.collect_telemetry = !metrics_out.empty();
+    sweep_config.check_true_leader = election::elects_true_leader(algo);
     if (campaign_mode && random_n >= 2) {
       // Statistical mode over instances: every cell samples its own
       // asymmetric ring from its derived ring seed.
@@ -561,13 +443,10 @@ int main(int argc, char** argv) {
     }
     const bool all_ok = !verify || campaign.all_verified();
 
-    if (want_metrics) {
-      std::ofstream out(metrics_out);
-      if (!out) {
-        std::cerr << "cannot open " << metrics_out << "\n";
-        return EXIT_FAILURE;
-      }
-      telemetry::write_metrics_json(out, campaign.metrics);
+    if (!write_file(metrics_out, nullptr, [&](std::ostream& out) {
+          telemetry::write_metrics_json(out, campaign.metrics);
+        })) {
+      return EXIT_FAILURE;
     }
 
     if (campaign_mode) {
@@ -595,8 +474,7 @@ int main(int argc, char** argv) {
             .value(campaign.elections_per_second);
         campaign_json.key("quantiles");
         campaign_json.begin_object();
-        for (const char* stat : {"steps", "messages_sent", "time_units",
-                                 "peak_space_bits", "label_comparisons"}) {
+        for (const char* stat : kCampaignStats) {
           campaign_json.key(stat);
           campaign_json.begin_object();
           campaign_json.key("p50").value(campaign.quantile(stat, 0.50));
@@ -628,8 +506,7 @@ int main(int argc, char** argv) {
                     << "\n";
         }
         support::Table table({"stat", "p50", "p90", "p99", "max"});
-        for (const char* stat : {"steps", "messages_sent", "time_units",
-                                 "peak_space_bits", "label_comparisons"}) {
+        for (const char* stat : kCampaignStats) {
           table.row()
               .cell(stat)
               .cell(campaign.quantile(stat, 0.50), 1)
@@ -716,13 +593,9 @@ int main(int argc, char** argv) {
 
   if (model_check) {
     core::ModelCheckConfig check_config;
-    // The baselines elect the maximum label, which need not be the paper's
-    // true leader; only A_k/B_k are held to it.
-    const bool paper_algo = *algo == election::AlgorithmId::kAk ||
-                            *algo == election::AlgorithmId::kBk;
-    check_config.check_true_leader = report.asymmetric && paper_algo;
-    const auto check = core::check_all_schedules(
-        *ring, {*algo, k, false}, check_config);
+    check_config.check_true_leader = check_true;
+    const auto check =
+        core::check_all_schedules(*ring, config.algorithm, check_config);
     std::cout << "model check: " << check.to_string() << "\n";
     return check.ok && check.complete ? EXIT_SUCCESS : EXIT_FAILURE;
   }
@@ -737,46 +610,30 @@ int main(int argc, char** argv) {
   if (want_telemetry) config.extra_observers.push_back(&telemetry_observer);
 
   const auto result = core::run_election(*ring, config);
-
-  if (want_telemetry) {
-    if (trace_to_stdout) {
-      telemetry::write_trace_json(std::cout, telemetry_observer);
-    } else if (!trace_out.empty()) {
-      std::ofstream out(trace_out);
-      if (!out) {
-        std::cerr << "cannot open " << trace_out << "\n";
-        return EXIT_FAILURE;
-      }
-      telemetry::write_trace_json(out, telemetry_observer);
-      if (!quiet) std::cout << "trace:   " << trace_out << "\n";
-    }
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      if (!out) {
-        std::cerr << "cannot open " << metrics_out << "\n";
-        return EXIT_FAILURE;
-      }
-      telemetry::write_metrics_json(out, telemetry_observer.metrics());
-      if (!quiet) std::cout << "metrics: " << metrics_out << "\n";
-    }
-  }
+  const auto verification = core::verify_election(*ring, result, check_true);
+  const int verdict = verification.ok ? EXIT_SUCCESS : EXIT_FAILURE;
 
   if (trace_to_stdout) {
-    // The timeline owns stdout; verification still gates the exit code.
-    const bool check_true =
-        election::elects_true_leader(*algo) && report.asymmetric;
-    const auto verification =
-        core::verify_election(*ring, result, check_true);
-    return verification.ok ? EXIT_SUCCESS : EXIT_FAILURE;
+    telemetry::write_trace_json(std::cout, telemetry_observer);
   }
-
+  if (!write_file(trace_out, quiet ? nullptr : "trace:   ",
+                  [&](std::ostream& out) {
+                    telemetry::write_trace_json(out, telemetry_observer);
+                  })) {
+    return EXIT_FAILURE;
+  }
+  if (!write_file(metrics_out, quiet ? nullptr : "metrics: ",
+                  [&](std::ostream& out) {
+                    telemetry::write_metrics_json(
+                        out, telemetry_observer.metrics());
+                  })) {
+    return EXIT_FAILURE;
+  }
+  // The timeline owns stdout; verification still gates the exit code.
+  if (trace_to_stdout) return verdict;
   if (json) {
-    const bool check_true =
-        election::elects_true_leader(*algo) && report.asymmetric;
-    const auto verification =
-        core::verify_election(*ring, result, check_true);
     core::write_json_report(std::cout, *ring, config, result, verification);
-    return verification.ok ? EXIT_SUCCESS : EXIT_FAILURE;
+    return verdict;
   }
 
   if (trace_enabled) trace.print(std::cout);
@@ -789,13 +646,8 @@ int main(int argc, char** argv) {
               << words::to_string(ring->label(*leader)) << ")\n";
   }
   std::cout << "stats: " << result.stats.summary() << "\n";
-
-  const bool check_true_leader =
-      election::elects_true_leader(*algo) && report.asymmetric;
-  const auto verification =
-      core::verify_election(*ring, result, check_true_leader);
   if (!quiet) {
     std::cout << "verification: " << verification.to_string() << "\n";
   }
-  return verification.ok ? EXIT_SUCCESS : EXIT_FAILURE;
+  return verdict;
 }

@@ -51,6 +51,16 @@ std::unique_ptr<sim::DelayModel> make_delay_model(DelayKind kind,
 
 }  // namespace
 
+const char* engine_kind_name(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kStep:
+      return "step";
+    case EngineKind::kEvent:
+      return "event";
+  }
+  HRING_ASSERT(false);
+}
+
 const char* scheduler_kind_name(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kSynchronous:

@@ -46,6 +46,7 @@ enum class DelayKind : std::uint8_t {
   kSlowLink,
 };
 
+[[nodiscard]] const char* engine_kind_name(EngineKind kind);
 [[nodiscard]] const char* scheduler_kind_name(SchedulerKind kind);
 [[nodiscard]] const char* delay_kind_name(DelayKind kind);
 

@@ -1,6 +1,8 @@
-// Shared experiment plumbing for the benchmark harness (E1-E9): theorem
-// bound formulas and a run-and-verify helper, so every bench reports
-// measured values against the paper's predicted ceilings the same way.
+// Shared experiment plumbing: the paper's theorem bound formulas and a
+// run-and-verify helper. This is the one table of bounds — the benches,
+// the spec audit (paper_space_bound_bits), runtime conformance and the
+// benchmark all read their ceilings from here, so they are compared
+// against the paper the same way.
 #pragma once
 
 #include <cstdint>

@@ -33,8 +33,7 @@ void write_json_report(std::ostream& out, const ring::LabeledRing& ring,
   json.key("config").begin_object();
   json.key("algorithm").value(election::algorithm_name(config.algorithm.id));
   json.key("k").value(static_cast<std::uint64_t>(config.algorithm.k));
-  json.key("engine").value(config.engine == EngineKind::kStep ? "step"
-                                                              : "event");
+  json.key("engine").value(engine_kind_name(config.engine));
   json.key("scheduler").value(scheduler_kind_name(config.scheduler));
   json.key("delay").value(delay_kind_name(config.delay));
   json.key("seed").value(config.seed);

@@ -4,9 +4,12 @@
 #include <sstream>
 
 #include "support/assert.hpp"
+#include "support/flags.hpp"
 
 namespace hring::core {
 namespace {
+
+using support::parse_u64;
 
 std::string trim(std::string_view s) {
   std::size_t begin = 0;
@@ -17,18 +20,6 @@ std::string trim(std::string_view s) {
     --end;
   }
   return std::string(s.substr(begin, end - begin));
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
-  }
-  return value;
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "core/experiment.hpp"
 #include "sim/invariants.hpp"
 #include "sim/message.hpp"
 #include "support/assert.hpp"
@@ -254,14 +255,9 @@ std::optional<std::size_t> paper_space_bound_bits(
     std::size_t b) {
   switch (algorithm.id) {
     case election::AlgorithmId::kAk:
-      // Theorem 2: (2k+1)·n·b + 2b + 3.
-      return (2 * algorithm.k + 1) * n * b + 2 * b + 3;
-    case election::AlgorithmId::kBk: {
-      // Theorem 4: 2⌈log k⌉ + 3b + 5.
-      std::size_t log_k = 0;
-      while ((std::size_t{1} << log_k) < algorithm.k) ++log_k;
-      return 2 * log_k + 3 * b + 5;
-    }
+      return ak_space_bound(n, algorithm.k, b);
+    case election::AlgorithmId::kBk:
+      return bk_space_bound(algorithm.k, b);
     case election::AlgorithmId::kChangRoberts:
     case election::AlgorithmId::kLeLann:
     case election::AlgorithmId::kPeterson:

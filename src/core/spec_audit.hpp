@@ -102,8 +102,9 @@ struct SpecAuditReport {
 };
 
 /// Space bound the paper promises for `algorithm` on an n-process ring
-/// with b-bit labels: Theorem 2 for A_k, Theorem 4 for B_k. nullopt for
-/// the baselines (the paper states no bound for them).
+/// with b-bit labels: ak_space_bound (Theorem 2) for A_k, bk_space_bound
+/// (Theorem 4) for B_k — core/experiment.hpp holds the formulas. nullopt
+/// for the baselines (the paper states no bound for them).
 [[nodiscard]] std::optional<std::size_t> paper_space_bound_bits(
     const election::AlgorithmConfig& algorithm, std::size_t n,
     std::size_t b);

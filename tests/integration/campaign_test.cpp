@@ -1,14 +1,19 @@
 // Campaign semantics: worker-count and batch-slot invariance, the
 // one-seed determinism contract, backend resolution, and cell streaming.
+#include <array>
 #include <atomic>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/campaign.hpp"
 #include "election/algorithm.hpp"
+#include "ring/generator.hpp"
 #include "support/json.hpp"
 
 namespace hring {
@@ -36,6 +41,56 @@ SweepConfig ak_campaign() {
   config.seed = 0xCA4FA16;
   config.check_true_leader = true;
   return config;
+}
+
+/// What a cell sink sees of one cell, copied out of the worker's arena.
+struct CellRecord {
+  std::uint64_t election_seed = 0;
+  std::optional<sim::ProcessId> leader;
+  bool verified = false;
+  sim::Stats stats;
+  bool operator==(const CellRecord&) const = default;
+};
+
+/// Per-cell records of `config` on the scalar backend with `workers`
+/// threads, indexed by cell.
+std::vector<CellRecord> cell_records(SweepConfig config,
+                                     std::size_t workers) {
+  std::vector<CellRecord> cells(config.cells);
+  config.workers = workers;
+  config.backend = CampaignBackend::kScalar;
+  config.cell_sink = [&cells](const core::CellView& view) {
+    cells[view.cell] =
+        CellRecord{view.election_seed, view.leader, view.verified,
+                   view.stats};
+  };
+  (void)core::run_campaign(config);
+  return cells;
+}
+
+/// 1 and 4 workers agree cell for cell, and every cell equals a serial
+/// run_election of `ring_of(cell)` with the cell's derived seed.
+void expect_matches_serial(
+    const SweepConfig& config,
+    const std::function<ring::LabeledRing(std::size_t)>& ring_of) {
+  const auto serial = cell_records(config, 1);
+  EXPECT_EQ(cell_records(config, 4), serial);
+  for (std::size_t cell = 0; cell < serial.size(); ++cell) {
+    core::ElectionConfig replay = config.election;
+    replay.seed = serial[cell].election_seed;
+    replay.monitor_spec = false;  // campaigns measure, they don't monitor
+    const auto result = core::run_election(ring_of(cell), replay);
+    EXPECT_EQ(result.stats, serial[cell].stats) << "cell " << cell;
+    EXPECT_EQ(result.leader_pid(), serial[cell].leader) << "cell " << cell;
+    EXPECT_TRUE(serial[cell].verified) << "cell " << cell;
+  }
+}
+
+/// The ring a kDistinct campaign draws for `cell` (one-seed convention).
+ring::LabeledRing distinct_cell_ring(const SweepConfig& config,
+                                     std::size_t cell) {
+  support::Rng rng(core::derive_cell_seeds(config.seed, cell).ring_seed);
+  return ring::distinct_ring(config.source.n, rng);
 }
 
 TEST(CampaignTest, MergedResultIsInvariantUnderWorkerCount) {
@@ -190,6 +245,114 @@ TEST(CampaignTest, ScalarFallbackRunsUncoveredAlgorithms) {
   const auto result = core::run_campaign(config);
   EXPECT_EQ(result.backend, CampaignBackend::kScalar);
   EXPECT_EQ(result.outcome_count(sim::Outcome::kTerminated), config.cells);
+  EXPECT_TRUE(result.all_verified());
+}
+
+TEST(CampaignTest, ElectionGridMatchesSerial) {
+  // A grid across n and k: engine state is thread-confined and all
+  // randomness is per-cell, so per-cell results cannot depend on the
+  // worker count.
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::size_t n = 4 + i * 3;
+    const std::size_t k = 1 + i % 3;
+    support::Rng rng(1000 + i);
+    const auto ring =
+        ring::random_asymmetric_ring(n, k, (n + k - 1) / k + 2, rng);
+    ASSERT_TRUE(ring.has_value());
+    SweepConfig config;
+    config.election.algorithm = {AlgorithmId::kAk, k, false};
+    config.election.scheduler = core::SchedulerKind::kRandomSubset;
+    config.source = core::RingSource::fixed(*ring);
+    config.cells = 8;
+    config.seed = 1000 + i;
+    config.check_true_leader = true;
+    expect_matches_serial(config, [&ring](std::size_t) { return *ring; });
+  }
+}
+
+TEST(CampaignTest, LabelComparisonCountsAreThreadConfined) {
+  // Each cell's run resets and reads the thread-local comparison counter;
+  // concurrent workers must report the serial per-cell counts.
+  SweepConfig config;
+  config.election.algorithm = {AlgorithmId::kBk, 1, false};
+  config.source = core::RingSource::distinct(8);
+  config.cells = 12;
+  config.seed = 7;
+  expect_matches_serial(config, [&config](std::size_t cell) {
+    return distinct_cell_ring(config, cell);
+  });
+}
+
+TEST(CampaignTest, RecycledEnginesInvariantUnderWorkerCount) {
+  // Scalar workers recycle a thread_local engine: consecutive cells, and
+  // on the caller's thread consecutive campaigns of different ring sizes,
+  // reuse links and stats buffers. Results must not depend on which cells
+  // shared an engine.
+  for (std::size_t n = 3; n <= 9; ++n) {
+    SweepConfig config;
+    config.election.algorithm = {AlgorithmId::kAk, 1, false};
+    config.election.scheduler = core::SchedulerKind::kRandomSingle;
+    config.source = core::RingSource::distinct(n);
+    config.cells = 4;
+    config.seed = 90 + n;
+    expect_matches_serial(config, [&config](std::size_t cell) {
+      return distinct_cell_ring(config, cell);
+    });
+  }
+}
+
+TEST(CampaignTest, DefaultWorkerCountPositive) {
+  SweepConfig config = ak_campaign();
+  config.workers = 0;  // hardware concurrency
+  EXPECT_GE(core::run_campaign(config).workers, 1u);
+}
+
+TEST(CampaignTest, PropagatesFirstException) {
+  SweepConfig config = ak_campaign();
+  config.workers = 4;
+  config.cell_sink = [](const core::CellView& view) {
+    if (view.cell == 13) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW((void)core::run_campaign(config), std::runtime_error);
+}
+
+TEST(CampaignTest, PropagatesExceptionOnSingleWorkerPath) {
+  // The workers == 1 path runs inline; its errors must surface the same
+  // way the pool's do.
+  SweepConfig config = ak_campaign();
+  config.workers = 1;
+  config.cell_sink = [](const core::CellView& view) {
+    if (view.cell == 2) throw std::runtime_error("inline boom");
+  };
+  EXPECT_THROW((void)core::run_campaign(config), std::runtime_error);
+}
+
+TEST(CampaignTest, PropagatesExactlyOneOfManyExceptions) {
+  // Every cell throws on every worker; exactly one exception (some cell's)
+  // must reach the caller, with its message intact.
+  SweepConfig config = ak_campaign();
+  config.workers = 4;
+  config.cell_sink = [](const core::CellView& view) {
+    throw std::runtime_error("cell " + std::to_string(view.cell));
+  };
+  try {
+    (void)core::run_campaign(config);
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("cell ", 0), 0u) << e.what();
+  }
+}
+
+TEST(CampaignTest, EmptyCampaign) {
+  SweepConfig config = ak_campaign();
+  config.cells = 0;
+  config.workers = 4;
+  config.cell_sink = [](const core::CellView& view) {
+    ADD_FAILURE() << "sink called for cell " << view.cell;
+  };
+  const auto result = core::run_campaign(config);
+  EXPECT_EQ(result.cells, 0u);
+  EXPECT_EQ(result.outcome_counts, (std::array<std::uint64_t, 4>{}));
   EXPECT_TRUE(result.all_verified());
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "core/parallel_sweep.hpp"
 #include "ring/classes.hpp"
 #include "ring/generator.hpp"
 
@@ -78,7 +77,7 @@ Case run_case(std::uint64_t index) {
   out.description = std::string(election::algorithm_name(algo)) + " on " +
                     ring->to_string() + " k=" +
                     std::to_string(config.algorithm.k) + " engine=" +
-                    (config.engine == EngineKind::kStep ? "step" : "event") +
+                    engine_kind_name(config.engine) +
                     " sched=" + scheduler_kind_name(config.scheduler) +
                     " delay=" + delay_kind_name(config.delay);
   const auto m = measure(*ring, config);
@@ -88,12 +87,10 @@ Case run_case(std::uint64_t index) {
 }
 
 TEST(FuzzSweepTest, TwoHundredRandomConfigurationsAllVerify) {
-  const auto cases =
-      parallel_map<Case>(200, [](std::size_t i) { return run_case(i); });
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    EXPECT_TRUE(cases[i].ok)
-        << "case " << i << ": " << cases[i].description << "\n"
-        << cases[i].error;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const Case c = run_case(i);
+    EXPECT_TRUE(c.ok) << "case " << i << ": " << c.description << "\n"
+                      << c.error;
   }
 }
 
