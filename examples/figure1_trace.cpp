@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> headers = {"phase"};
   for (sim::ProcessId pid = 0; pid < ring.size(); ++pid) {
-    headers.push_back("p" + std::to_string(pid));
+    headers.push_back(std::string(1, 'p') += std::to_string(pid));
   }
   support::Table table(headers);
   for (std::size_t phase = 1; phase <= max_phase; ++phase) {

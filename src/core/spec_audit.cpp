@@ -44,14 +44,21 @@ std::uint64_t state_hash(const Process& proc) {
 /// replay check compares these lines; keeping them human-readable makes
 /// the divergence report directly actionable.
 std::string firing_line(const ActionEvent& event) {
-  std::string line = "p" + std::to_string(event.pid);
+  std::string line(1, 'p');
+  line += std::to_string(event.pid);
   if (!event.action.empty()) {
     line += ' ';
     line += event.action;
   }
-  if (event.consumed.has_value()) line += " " + to_string(*event.consumed);
+  if (event.consumed.has_value()) {
+    line += ' ';
+    line += to_string(*event.consumed);
+  }
   line += " ->";
-  for (const Message& msg : event.sent) line += " " + to_string(msg);
+  for (const Message& msg : event.sent) {
+    line += ' ';
+    line += to_string(msg);
+  }
   return line;
 }
 
@@ -61,15 +68,17 @@ bool same_message(const Message& a, const Message& b) {
   return a.kind == b.kind && a.label.value() == b.label.value();
 }
 
+/// [send-burst] bound on messages per firing.
+constexpr std::size_t kMaxSendsPerFiring = 4;
+
 /// Observer implementing the per-firing checks. `record_only` turns every
 /// check off and keeps just the transition log (the replay run).
 class AuditObserver final : public sim::Observer {
  public:
-  AuditObserver(const SpecAuditConfig& config, std::size_t label_bits,
+  AuditObserver(std::size_t label_bits,
                 std::optional<std::size_t> space_bound_bits,
                 bool record_only)
-      : config_(config),
-        label_bits_(label_bits),
+      : label_bits_(label_bits),
         space_bound_bits_(space_bound_bits),
         record_only_(record_only) {}
 
@@ -89,49 +98,46 @@ class AuditObserver final : public sim::Observer {
     if (record_only_) return;
 
     const std::size_t n = view.process_count();
-    const std::string who = "p" + std::to_string(event.pid);
+    std::string who(1, 'p');
+    who += std::to_string(event.pid);
 
-    if (config_.check_fifo) audit_fifo(event, n, who);
+    audit_fifo(event, n, who);
 
-    if (config_.check_message_width) {
-      for (const Message& msg : event.sent) {
-        peak_message_bits_ =
-            std::max(peak_message_bits_, message_bits(msg, label_bits_));
-        if (msg.kind != MsgKind::kFinish && label_bits_ < 64 &&
-            (msg.label.value() >> label_bits_) != 0) {
-          report("[message-width] " + who + " sent " + to_string(msg) +
-                 " whose payload does not fit the ring's b=" +
-                 std::to_string(label_bits_) + " label bits");
-        }
+    for (const Message& msg : event.sent) {
+      peak_message_bits_ =
+          std::max(peak_message_bits_, message_bits(msg, label_bits_));
+      if (msg.kind != MsgKind::kFinish && label_bits_ < 64 &&
+          (msg.label.value() >> label_bits_) != 0) {
+        report("[message-width] " + who + " sent " + to_string(msg) +
+               " whose payload does not fit the ring's b=" +
+               std::to_string(label_bits_) + " label bits");
       }
     }
 
-    if (event.sent.size() > config_.max_sends_per_firing) {
+    if (event.sent.size() > kMaxSendsPerFiring) {
       report("[send-burst] " + who + " sent " +
              std::to_string(event.sent.size()) +
              " messages in one firing (bound " +
-             std::to_string(config_.max_sends_per_firing) + ")");
+             std::to_string(kMaxSendsPerFiring) + ")");
     }
 
-    if (config_.check_locality) {
-      for (ProcessId q = 0; q < n; ++q) {
-        if (q == event.pid) continue;
-        const std::uint64_t h = state_hash(view.process(q));
-        if (h != hashes_[q]) {
-          report("[locality] firing of " + who + " (step " +
-                 std::to_string(event.step) + ") mutated p" +
-                 std::to_string(q) + "'s state");
-          hashes_[q] = h;  // report each remote mutation once
-        }
+    for (ProcessId q = 0; q < n; ++q) {
+      if (q == event.pid) continue;
+      const std::uint64_t h = state_hash(view.process(q));
+      if (h != hashes_[q]) {
+        report("[locality] firing of " + who + " (step " +
+               std::to_string(event.step) + ") mutated p" +
+               std::to_string(q) + "'s state");
+        hashes_[q] = h;  // report each remote mutation once
       }
-      hashes_[event.pid] = state_hash(view.process(event.pid));
     }
+    hashes_[event.pid] = state_hash(view.process(event.pid));
 
     const std::size_t space =
         view.process(event.pid).space_bits(label_bits_);
     peak_space_bits_ = std::max(peak_space_bits_, space);
-    if (config_.check_space_bound && space_bound_bits_.has_value() &&
-        space > *space_bound_bits_ && !space_reported_) {
+    if (space_bound_bits_.has_value() && space > *space_bound_bits_ &&
+        !space_reported_) {
       space_reported_ = true;
       report("[space] " + who + " reached " + std::to_string(space) +
              " bits, above the paper's bound of " +
@@ -140,7 +146,7 @@ class AuditObserver final : public sim::Observer {
   }
 
   void on_finish(const ExecutionView& view) override {
-    if (record_only_ || !config_.check_fifo) return;
+    if (record_only_) return;
     // Messages left in a shadow queue at the end of a *clean* run would
     // mean the engine delivered something the sender never sent; cross-
     // check against the real links instead of assuming.
@@ -198,7 +204,6 @@ class AuditObserver final : public sim::Observer {
 
   static constexpr std::size_t kMaxViolations = 64;
 
-  const SpecAuditConfig& config_;
   std::size_t label_bits_;
   std::optional<std::size_t> space_bound_bits_;
   bool record_only_;
@@ -234,18 +239,33 @@ sim::RunResult run_once(sim::StepEngine& engine, const ring::LabeledRing& ring,
 }  // namespace
 
 std::string SpecAuditReport::summary() const {
-  std::string out = ok() ? "ok" : "FAIL(" +
-                                      std::to_string(violations.size()) +
-                                      " violations)";
-  out += " | outcome=" + std::string(sim::outcome_name(outcome));
-  out += " firings=" + std::to_string(firings);
-  out += " messages=" + std::to_string(messages);
-  out += " space=" + std::to_string(peak_space_bits);
-  if (space_bound_bits.has_value()) {
-    out += "/" + std::to_string(*space_bound_bits);
+  // Appended piecewise: GCC 12's -Wrestrict misfires on
+  // `"literal" + std::to_string(...)` at -O3.
+  std::string out;
+  if (ok()) {
+    out = "ok";
+  } else {
+    out = "FAIL(";
+    out += std::to_string(violations.size());
+    out += " violations)";
   }
-  out += " bits, msg<=" + std::to_string(peak_message_bits) + "/" +
-         std::to_string(message_bits_bound) + " bits";
+  out += " | outcome=";
+  out += sim::outcome_name(outcome);
+  out += " firings=";
+  out += std::to_string(firings);
+  out += " messages=";
+  out += std::to_string(messages);
+  out += " space=";
+  out += std::to_string(peak_space_bits);
+  if (space_bound_bits.has_value()) {
+    out += '/';
+    out += std::to_string(*space_bound_bits);
+  }
+  out += " bits, msg<=";
+  out += std::to_string(peak_message_bits);
+  out += '/';
+  out += std::to_string(message_bits_bound);
+  out += " bits";
   if (replay_ran) out += ", replayed";
   return out;
 }
@@ -277,7 +297,7 @@ SpecAuditReport audit_factory(const ring::LabeledRing& ring,
   // recycles the primary's links, counters and firing buffers, and doubles
   // as a test that recycled executions behave identically to fresh ones.
   sim::StepEngine engine;
-  AuditObserver auditor(config, b, space_bound_bits, /*record_only=*/false);
+  AuditObserver auditor(b, space_bound_bits, /*record_only=*/false);
   sim::SpecMonitor monitor;
   const sim::RunResult result =
       run_once(engine, ring, factory, config, auditor, &monitor);
@@ -294,35 +314,32 @@ SpecAuditReport audit_factory(const ring::LabeledRing& ring,
   for (const std::string& v : monitor.violations()) {
     report.violations.push_back("[spec] " + v);
   }
-  if (config.require_termination &&
-      result.outcome != sim::Outcome::kTerminated) {
+  if (result.outcome != sim::Outcome::kTerminated) {
     report.violations.push_back(
         "[termination] run ended with outcome=" +
         std::string(sim::outcome_name(result.outcome)) +
         " instead of a clean terminal configuration");
   }
 
-  if (config.check_replay) {
-    AuditObserver replay(config, b, space_bound_bits, /*record_only=*/true);
-    (void)run_once(engine, ring, factory, config, replay, nullptr);
-    report.replay_ran = true;
-    const auto& first = auditor.log();
-    const auto& second = replay.log();
-    const std::size_t common = std::min(first.size(), second.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (first[i] != second[i]) {
-        report.violations.push_back(
-            "[replay] firing " + std::to_string(i) + " diverged: \"" +
-            first[i] + "\" vs \"" + second[i] + "\"");
-        break;
-      }
-    }
-    if (first.size() != second.size()) {
+  AuditObserver replay(b, space_bound_bits, /*record_only=*/true);
+  (void)run_once(engine, ring, factory, config, replay, nullptr);
+  report.replay_ran = true;
+  const auto& first = auditor.log();
+  const auto& second = replay.log();
+  const std::size_t common = std::min(first.size(), second.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    if (first[i] != second[i]) {
       report.violations.push_back(
-          "[replay] transition logs have different lengths (" +
-          std::to_string(first.size()) + " vs " +
-          std::to_string(second.size()) + " firings)");
+          "[replay] firing " + std::to_string(i) + " diverged: \"" +
+          first[i] + "\" vs \"" + second[i] + "\"");
+      break;
     }
+  }
+  if (first.size() != second.size()) {
+    report.violations.push_back(
+        "[replay] transition logs have different lengths (" +
+        std::to_string(first.size()) + " vs " +
+        std::to_string(second.size()) + " firings)");
   }
   return report;
 }

@@ -17,9 +17,9 @@
 //   [message-width] every sent payload fits in the ring's b label bits —
 //                   the model's messages carry labels of the ring, not
 //                   arbitrary integers;
-//   [send-burst]    a single firing sends at most a small constant number
-//                   of messages (§II statements are straight-line; every
-//                   algorithm of the paper sends <= 2 per firing);
+//   [send-burst]    a single firing sends at most 4 messages (§II
+//                   statements are straight-line; every algorithm of the
+//                   paper sends <= 2 per firing);
 //   [fifo]          the receive sequence on every link is exactly the send
 //                   sequence of its producer, reconstructed independently
 //                   of the engine's own queues;
@@ -29,7 +29,8 @@
 //   [spec]          the §II election specification (SpecMonitor);
 //   [termination]   the run reaches a clean terminal configuration.
 //
-// A report with ok() == false names every violated obligation; mock
+// Every audit runs all of these. A report with ok() == false names every
+// violated obligation; mock
 // algorithms that break locality or message bounds are rejected (see
 // tests/integration/spec_audit_test.cpp for the negative fixtures).
 #pragma once
@@ -67,17 +68,6 @@ struct SpecAuditConfig {
   /// schedule length: force-including an aged process would diverge from
   /// the recorded schedule (the recorded run already was fair).
   std::size_t fairness_bound = 128;
-  /// [send-burst] bound on messages per firing.
-  std::size_t max_sends_per_firing = 4;
-  /// Individual checks; all on by default.
-  bool check_replay = true;
-  bool check_locality = true;
-  bool check_message_width = true;
-  bool check_fifo = true;
-  bool check_space_bound = true;
-  /// Require Outcome::kTerminated (off when auditing deliberately
-  /// non-terminating fixtures).
-  bool require_termination = true;
 };
 
 struct SpecAuditReport {

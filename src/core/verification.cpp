@@ -45,7 +45,8 @@ VerificationReport verify_election(const ring::LabeledRing& ring,
 
   const words::Label leader_label = ring.label(*leader_pid);
   for (const auto& p : result.processes) {
-    const std::string who = "p" + std::to_string(p.pid);
+    std::string who(1, 'p');
+    who += std::to_string(p.pid);
     if (!p.done) report.fail(who + " not done in terminal configuration");
     if (!p.halted) report.fail(who + " not halted in terminal configuration");
     if (!p.leader.has_value()) {

@@ -217,7 +217,8 @@ void write_flight_trace_json(std::ostream& out,
 
   trace.name_group(kFlightWorkerGroup, "workers (" + report.verdict + ")");
   for (const ForensicThread& thread : report.threads) {
-    std::string label = "p" + std::to_string(thread.pid);
+    std::string label(1, 'p');
+    label += std::to_string(thread.pid);
     if (std::find(report.wedged.begin(), report.wedged.end(), thread.pid) !=
         report.wedged.end()) {
       label += " [WEDGED]";

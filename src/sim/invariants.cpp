@@ -9,11 +9,8 @@ void SpecMonitor::on_start(const ExecutionView& view) {
   for (ProcessId pid = 0; pid < view.process_count(); ++pid) {
     const Process& p = view.process(pid);
     // The spec requires isLeader and done to start FALSE.
-    if (p.is_leader()) report(view, "p" + std::to_string(pid) +
-                                        ".isLeader TRUE initially");
-    if (p.done()) {
-      report(view, "p" + std::to_string(pid) + ".done TRUE initially");
-    }
+    if (p.is_leader()) report(view, pid, ".isLeader TRUE initially");
+    if (p.done()) report(view, pid, ".done TRUE initially");
   }
 }
 
@@ -23,28 +20,27 @@ void SpecMonitor::on_step_end(const ExecutionView& view) {
   for (ProcessId pid = 0; pid < view.process_count(); ++pid) {
     const Process& p = view.process(pid);
     Shadow& shadow = shadows_[pid];
-    const std::string who = "p" + std::to_string(pid);
 
     if (p.is_leader()) ++leaders;
     if (shadow.is_leader && !p.is_leader()) {
-      report(view, who + ".isLeader reverted TRUE->FALSE");
+      report(view, pid, ".isLeader reverted TRUE->FALSE");
     }
     if (shadow.done && !p.done()) {
-      report(view, who + ".done reverted TRUE->FALSE");
+      report(view, pid, ".done reverted TRUE->FALSE");
     }
     if (shadow.halted && !p.halted()) {
-      report(view, who + " resumed after halting");
+      report(view, pid, " resumed after halting");
     }
     if (p.halted() && !p.done()) {
-      report(view, who + " halted before done");
+      report(view, pid, " halted before done");
     }
     if (p.done()) {
       if (!p.leader().has_value()) {
-        report(view, who + ".done without p.leader set");
+        report(view, pid, ".done without p.leader set");
       } else {
         if (shadow.done && shadow.leader.has_value() &&
             !(*shadow.leader == *p.leader())) {
-          report(view, who + ".leader changed after done");
+          report(view, pid, ".leader changed after done");
         }
         // Some current leader must carry the label p believes in.
         bool matched = false;
@@ -56,8 +52,9 @@ void SpecMonitor::on_step_end(const ExecutionView& view) {
           }
         }
         if (!matched) {
-          report(view, who + ".done but no leader carries label " +
-                           words::to_string(*p.leader()));
+          report(view, pid,
+                 ".done but no leader carries label " +
+                     words::to_string(*p.leader()));
         }
       }
     }
@@ -70,6 +67,14 @@ void SpecMonitor::on_step_end(const ExecutionView& view) {
   if (leaders > 1) {
     report(view, std::to_string(leaders) + " simultaneous leaders");
   }
+}
+
+void SpecMonitor::report(const ExecutionView& view, ProcessId pid,
+                         std::string_view what) {
+  std::string line(1, 'p');
+  line += std::to_string(pid);
+  line += what;
+  report(view, line);
 }
 
 void SpecMonitor::report(const ExecutionView& view, const std::string& what) {

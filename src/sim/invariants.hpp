@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/observer.hpp"
@@ -48,6 +49,9 @@ class SpecMonitor : public Observer {
   };
 
   void report(const ExecutionView& view, const std::string& what);
+  /// Reports `what` about process `pid`, rendered as "p<pid><what>".
+  void report(const ExecutionView& view, ProcessId pid,
+              std::string_view what);
 
   std::vector<Shadow> shadows_;
   std::vector<std::string> violations_;

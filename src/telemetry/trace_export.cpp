@@ -28,13 +28,18 @@ void write_trace_json(std::ostream& out,
   trace.name_group(kTraceProcessGroup, "processes");
   trace.name_group(kTraceLinkGroup, "links");
   for (sim::ProcessId pid = 0; pid < n; ++pid) {
-    const std::string proc_name = "p" + std::to_string(pid) + " (label " +
-                                  std::to_string(telemetry.process_label(pid)) +
-                                  ")";
+    // Appended piecewise: GCC 12's -Wrestrict misfires on
+    // `"literal" + std::to_string(...)` at -O3.
+    std::string proc_name(1, 'p');
+    proc_name += std::to_string(pid);
+    proc_name += " (label ";
+    proc_name += std::to_string(telemetry.process_label(pid));
+    proc_name += ')';
     trace.name_track(kTraceProcessGroup, pid, proc_name);
-    const std::string link_name =
-        "link p" + std::to_string(pid) + " -> p" +
-        std::to_string(pid + 1 == n ? 0 : pid + 1);
+    std::string link_name = "link p";
+    link_name += std::to_string(pid);
+    link_name += " -> p";
+    link_name += std::to_string(pid + 1 == n ? 0 : pid + 1);
     trace.name_track(kTraceLinkGroup, pid, link_name);
   }
 

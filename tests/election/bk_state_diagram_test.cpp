@@ -59,9 +59,13 @@ class DiagramChecker final : public sim::Observer {
     const Edge edge{previous_[event.pid], std::string(event.action),
                     proc.state()};
     if (figure2_edges().count(edge) == 0) {
-      bad_edges_.push_back("p" + std::to_string(event.pid) + ": " +
-                           bk_state_name(edge.from) + " --" + edge.action +
-                           "--> " + bk_state_name(edge.to));
+      std::string bad(1, 'p');
+      bad += std::to_string(event.pid);
+      bad += ": ";
+      bad += bk_state_name(edge.from);
+      bad += " --" + edge.action + "--> ";
+      bad += bk_state_name(edge.to);
+      bad_edges_.push_back(std::move(bad));
     }
     observed_.insert(edge);
     previous_[event.pid] = proc.state();

@@ -129,8 +129,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 5, 8, 12),
                        ::testing::Values<std::size_t>(1, 2, 3)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_k" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name(1, 'n');
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 // -- scheduler sweep --------------------------------------------------------

@@ -1,16 +1,13 @@
 // Unit tests for the hring-lint analysis core (tools/hring_lint): the
 // tokenizer, the structural model, and — most load-bearing — the
-// consume-path analysis that backs the consume-discipline check. The
+// statement tree and the consume-path fold over it that backs the
+// consume-discipline check. The
 // fixture suite in tests/lint/fixtures exercises the checks end to end;
 // these tests pin the primitives they are built on.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
-#include "tools/hring_lint/cache.hpp"
 #include "tools/hring_lint/checks.hpp"
 #include "tools/hring_lint/concurrency_model.hpp"
 #include "tools/hring_lint/lexer.hpp"
@@ -406,94 +403,55 @@ TEST(ConcurrencyStmts, DominationRequiresEveryPath) {
   EXPECT_TRUE(dominated_by_range(tree, maybe, urgent, urgent + 1));
 }
 
-// ---------------------------------------------------------------------------
-// Diagnostics cache: key discipline and the cold/warm replay speedup.
-
-TEST(LintCache, KeyIsOrderIndependentAndContentSensitive) {
-  const std::vector<std::string> roster = {"pairing", "spsc-ownership"};
-  const std::vector<std::string> reversed = {"spsc-ownership", "pairing"};
-  using Hashes = std::vector<std::pair<std::string, std::uint64_t>>;
-  const Hashes files = {{"a.cpp", fnv1a("alpha")}, {"b.cpp", fnv1a("beta")}};
-  const Hashes shuffled = {{"b.cpp", fnv1a("beta")}, {"a.cpp", fnv1a("alpha")}};
-  EXPECT_EQ(cache_key_hex(roster, files), cache_key_hex(reversed, shuffled));
-  const Hashes edited = {{"a.cpp", fnv1a("alpha2")}, {"b.cpp", fnv1a("beta")}};
-  EXPECT_NE(cache_key_hex(roster, files), cache_key_hex(roster, edited));
-  EXPECT_NE(cache_key_hex(roster, files),
-            cache_key_hex({"pairing"}, files));
+TEST(ConcurrencyStmts, SwitchChildrenAreCaseSegments) {
+  const SourceFile f = lex_snippet(
+      "switch (k) {\n"
+      "  case kA: first(); break;\n"
+      "  case kB:\n"
+      "  case kC: { second(); } third(); return;\n"
+      "  default: HRING_ASSERT(false);\n"
+      "}\n");
+  const Stmt tree = build_stmt_tree(f, 0, f.tokens.size() - 1);
+  ASSERT_EQ(tree.children.size(), 1u);
+  const Stmt& sw = tree.children[0];
+  ASSERT_EQ(sw.kind, Stmt::Kind::kSwitch);
+  // One kBlock per label, spanning from the label to the next one.
+  ASSERT_EQ(sw.children.size(), 4u);
+  for (const Stmt& seg : sw.children) {
+    EXPECT_EQ(seg.kind, Stmt::Kind::kBlock);
+  }
+  EXPECT_EQ(sw.children[0].begin, tok_index(f, "case"));
+  EXPECT_EQ(sw.children[0].end, sw.children[1].begin);
+  EXPECT_EQ(sw.children[3].begin, tok_index(f, "default"));
+  // Adjacent labels: kB's segment is empty and kC's holds the statements.
+  ASSERT_EQ(sw.children[0].children.size(), 2u);
+  EXPECT_EQ(sw.children[0].children[1].kind, Stmt::Kind::kBreak);
+  EXPECT_TRUE(sw.children[1].children.empty());
+  ASSERT_EQ(sw.children[2].children.size(), 3u);
+  EXPECT_EQ(sw.children[2].children[0].kind, Stmt::Kind::kBlock);
+  EXPECT_EQ(sw.children[2].children[2].kind, Stmt::Kind::kReturn);
+  // The always-on assert terminates its path.
+  ASSERT_EQ(sw.children[3].children.size(), 1u);
+  EXPECT_EQ(sw.children[3].children[0].kind, Stmt::Kind::kJump);
 }
 
-TEST(LintCache, RoundTripPreservesDiagnosticsAndRejectsCorruption) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "hring_lint_cache_rt")
-          .string();
-  std::filesystem::remove_all(dir);
-  std::vector<Diagnostic> in(1);
-  in[0].file = "weird\tname.cpp";
-  in[0].line = 7;
-  in[0].col = 3;
-  in[0].check = "pairing";
-  in[0].message = "line one\nline two\tand a tab";
-  const std::string key = cache_key_hex({"pairing"}, {{"x.cpp", 1}});
-  cache_store(dir, key, in);
-  std::vector<Diagnostic> out;
-  ASSERT_TRUE(cache_load(dir, key, out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].file, in[0].file);
-  EXPECT_EQ(out[0].line, in[0].line);
-  EXPECT_EQ(out[0].message, in[0].message);
-  EXPECT_FALSE(cache_load(dir, cache_key_hex({"pairing"}, {{"y.cpp", 2}}),
-                          out));
-  // Truncate the entry: a corrupt cache must read as a miss, not garbage.
-  std::ofstream(std::filesystem::path(dir) / (key + ".diags"))
-      << "hring-lint-cache v1\n3\n";
-  EXPECT_FALSE(cache_load(dir, key, out));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(LintCache, WarmReplayBeatsColdAnalysis) {
-  // A warm hit replays stored diagnostics without lexing, parsing, or
-  // running any check; it must beat the cold pipeline on a tree big
-  // enough to measure (the whole point of --cache-dir in lint.src_clean).
-  std::string chunk =
-      "class Hot {\n"
-      " public:\n"
-      "  void tick() { hits_.fetch_add(1, std::memory_order_relaxed); }\n"
-      "  [[nodiscard]] std::uint64_t hits() const {\n"
-      "    return hits_.load(std::memory_order_relaxed);\n"
-      "  }\n"
-      " private:\n"
-      "  alignas(64) std::atomic<std::uint64_t> hits_{0};\n"
-      "};\n";
-  std::string content;
-  for (int i = 0; i < 300; ++i) content += chunk;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "hring_lint_cache_speed")
-          .string();
-  std::filesystem::remove_all(dir);
-  const std::vector<std::string> roster = all_check_names();
-  const std::string key =
-      cache_key_hex(roster, {{"big.cpp", fnv1a(content)}});
-
-  const auto cold_start = std::chrono::steady_clock::now();
-  SourceFile file;
-  file.path = "big.cpp";
-  file.content = content;
-  lex(file);
-  Model model;
-  parse_file(file, model);
-  std::vector<Diagnostic> diags;
-  run_checks(model, roster, diags);
-  cache_store(dir, key, diags);
-  const auto cold = std::chrono::steady_clock::now() - cold_start;
-
-  const auto warm_start = std::chrono::steady_clock::now();
-  std::vector<Diagnostic> replayed;
-  ASSERT_TRUE(cache_load(dir, key, replayed));
-  const auto warm = std::chrono::steady_clock::now() - warm_start;
-
-  EXPECT_EQ(replayed.size(), diags.size());
-  EXPECT_LT(warm, cold);
-  std::filesystem::remove_all(dir);
+TEST(ConcurrencyStmts, DominationSeesEarlierStatementInCaseSegment) {
+  const SourceFile f = lex_snippet(
+      "switch (k) {\n"
+      "  case kA: publish(); notify(); break;\n"
+      "  case kB: other(); ring(); break;\n"
+      "}\n");
+  const Stmt tree = build_stmt_tree(f, 0, f.tokens.size() - 1);
+  const std::size_t publish = tok_index(f, "publish");
+  const std::size_t notify = tok_index(f, "notify");
+  const std::size_t ring = tok_index(f, "ring");
+  // Same segment: the earlier statement runs first on every path.
+  EXPECT_TRUE(dominated_by_range(tree, notify, publish, publish + 1));
+  // Another segment is an alternative, never a predecessor.
+  EXPECT_FALSE(dominated_by_range(tree, ring, publish, publish + 1));
+  // The switch condition dominates every segment.
+  const std::size_t k = tok_index(f, "k");
+  EXPECT_TRUE(dominated_by_range(tree, ring, k, k + 1));
 }
 
 }  // namespace

@@ -78,8 +78,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(2, 3, 4, 5, 8, 16, 33),
                        ::testing::Values<std::size_t>(1, 2, 3, 4)),
     [](const auto& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_k" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name(1, 'n');
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 TEST(GeneratorTest, SaturatedRingHasLabelWithMultiplicityExactlyK) {

@@ -27,7 +27,8 @@ class ActionLog final : public Observer {
   void on_action(const ExecutionView&, const ActionEvent& event) override {
     std::string entry(event.action);
     if (event.consumed.has_value()) {
-      entry += "/" + to_string(*event.consumed);
+      entry += '/';
+      entry += to_string(*event.consumed);
     }
     log_[event.pid].push_back(std::move(entry));
   }

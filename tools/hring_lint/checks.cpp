@@ -15,23 +15,10 @@ namespace {
   return tok.is_ident() && tok.text.size() > 1 && tok.text.back() == '_';
 }
 
-[[nodiscard]] bool suppressed(const SourceFile& file, std::uint32_t line,
-                              const std::string& check) {
-  for (const Comment& c : file.comments) {
-    if (c.line != line) continue;
-    const std::size_t at = c.text.find("hring-nolint");
-    if (at == std::string_view::npos) continue;
-    const std::size_t paren = c.text.find('(', at);
-    if (paren == std::string_view::npos) return true;  // bare: all checks
-    if (c.text.find(check, paren) != std::string_view::npos) return true;
-  }
-  return false;
-}
-
 void emit(const SourceFile& file, std::uint32_t line, std::uint32_t col,
           const std::string& check, std::string message,
           std::vector<Diagnostic>& diags) {
-  if (suppressed(file, line, check)) return;
+  if (nolint(file, line, check)) return;
   diags.push_back({file.path, line, col, check, std::move(message)});
 }
 
@@ -43,16 +30,6 @@ void emit(const SourceFile& file, std::uint32_t line, std::uint32_t col,
 /// True when the call at `i` has an explicit receiver (`x.f(...)`).
 [[nodiscard]] bool has_receiver(const std::vector<Token>& t, std::size_t i) {
   return i > 0 && (t[i - 1].is(".") || t[i - 1].is("->"));
-}
-
-/// True for classes with the guarded-action shape: Process subclasses and
-/// the batch mirrors, which expose enabled()/fire() without deriving.
-[[nodiscard]] bool guarded_shape(const Model& model, const std::string& name,
-                                 const ClassInfo& cls) {
-  if (name.empty()) return false;
-  if (model.derives_from(name)) return true;
-  return !model.methods_named(cls, "enabled").empty() &&
-         !model.methods_named(cls, "fire").empty();
 }
 
 // ---------------------------------------------------------------------------
@@ -201,273 +178,109 @@ void check_guard_purity(const Model& model, std::vector<Diagnostic>& diags) {
 // ---------------------------------------------------------------------------
 // consume-discipline
 
-class ConsumePathAnalyzer {
- public:
-  ConsumePathAnalyzer(const SourceFile& file, std::size_t begin,
-                      std::size_t end)
-      : t_(file.tokens), end_(end), pos_(begin) {}
+/// Max consume() calls along the paths that fall through / break-or-continue
+/// out of / return out of a statement; -1 = no such path.
+struct Paths {
+  int cont = 0;
+  int brk = -1;
+  int ret = -1;
+};
 
-  [[nodiscard]] ConsumeSummary run() {
-    const Paths p = parse_seq(end_);
-    ConsumeSummary s;
-    s.in_loop = in_loop_;
-    s.max_on_path = static_cast<std::size_t>(
-        std::max({p.cont, p.brk, p.ret, 0}));
-    return s;
+/// Appends `tail` to a path that already carries `head` consumes.
+[[nodiscard]] int then(int head, int tail) {
+  return tail >= 0 ? head + tail : -1;
+}
+
+/// Folds a Stmt tree into per-path consume() counts. A loop-carried
+/// consume() sets `in_loop`; statements after a path's terminator are
+/// unreachable and not visited.
+class ConsumeFold {
+ public:
+  explicit ConsumeFold(const SourceFile& file) : t_(file.tokens) {}
+
+  bool in_loop = false;
+
+  Paths fold(const Stmt& s, bool looped) {
+    switch (s.kind) {
+      case Stmt::Kind::kExpr:
+        return {count(s.begin, s.end, looped), -1, -1};
+      case Stmt::Kind::kReturn:
+        return {-1, -1, count(s.begin, s.end, looped)};
+      case Stmt::Kind::kBreak:
+        return {-1, 0, -1};
+      case Stmt::Kind::kJump:
+        return {-1, -1, -1};
+      case Stmt::Kind::kBlock:
+        return fold_seq(s, looped);
+      case Stmt::Kind::kIf: {
+        const int c0 = count(s.cond_begin, s.cond_end, looped);
+        const Paths a = fold(s.children[0], looped);
+        const Paths b =
+            s.children.size() > 1 ? fold(s.children[1], looped) : Paths{};
+        return {then(c0, std::max(a.cont, b.cont)),
+                then(c0, std::max(a.brk, b.brk)),
+                then(c0, std::max(a.ret, b.ret))};
+      }
+      case Stmt::Kind::kLoop: {
+        const int head = count(s.cond_begin, s.cond_end, true);
+        const Paths body = fold(s.children[0], true);
+        return {head + std::max({body.cont, body.brk, 0}), -1,
+                then(head, body.ret)};
+      }
+      case Stmt::Kind::kSwitch: {
+        // Case segments are alternatives, and `break` exits the switch.
+        // Fallthrough between consuming cases is not modeled (§II actions
+        // do not rely on it); an empty segment shares the next one's
+        // statements. With a default present and every segment terminated
+        // nothing falls out (Peterson's relay switch ends in
+        // `default: HRING_ASSERT(false);`).
+        const int c0 = count(s.cond_begin, s.cond_end, looped);
+        bool has_default = false;
+        int out = -1;
+        int ret = -1;
+        for (const Stmt& seg : s.children) {
+          has_default |= t_[seg.begin].is("default");
+          if (seg.children.empty()) continue;
+          const Paths p = fold_seq(seg, looped);
+          out = std::max({out, p.cont, p.brk});
+          ret = std::max(ret, p.ret);
+        }
+        if (!has_default) out = std::max(out, 0);  // no label matched
+        return {then(c0, out), -1, then(c0, ret)};
+      }
+    }
+    return {};
   }
 
  private:
-  /// Max consume() calls along paths that fall through / break-or-continue
-  /// out / return out of the construct; -1 = no such path.
-  struct Paths {
-    int cont = 0;
-    int brk = -1;
-    int ret = -1;
-  };
-
-  [[nodiscard]] bool at(std::string_view s) const {
-    return pos_ < end_ && t_[pos_].is(s);
+  Paths fold_seq(const Stmt& block, bool looped) {
+    Paths r;
+    for (const Stmt& child : block.children) {
+      const Paths p = fold(child, looped);
+      r.brk = std::max(r.brk, then(r.cont, p.brk));
+      r.ret = std::max(r.ret, then(r.cont, p.ret));
+      r.cont = then(r.cont, p.cont);
+      if (r.cont < 0) break;
+    }
+    return r;
   }
 
-  /// Counts consume() calls in [from, to); flags loop containment.
-  int count_consumes(std::size_t from, std::size_t to) {
+  int count(std::size_t from, std::size_t to, bool looped) {
     int n = 0;
     for (std::size_t i = from; i < to; ++i) {
-      if (t_[i].is("consume") && i + 1 < to && t_[i + 1].is("(")) {
-        ++n;
-        if (loop_depth_ > 0) in_loop_ = true;
-      }
+      if (t_[i].is("consume") && i + 1 < to && t_[i + 1].is("(")) ++n;
     }
+    if (looped && n > 0) in_loop = true;
     return n;
   }
 
-  std::size_t skip_match(std::size_t i, std::string_view open,
-                         std::string_view close) {
-    std::size_t depth = 0;
-    for (; i < end_; ++i) {
-      if (t_[i].is(open)) ++depth;
-      if (t_[i].is(close) && --depth == 0) return i + 1;
-    }
-    return i;
-  }
-
-  /// Consumes one statement starting at pos_.
-  Paths parse_stmt() {
-    if (at("{")) {
-      const std::size_t close = skip_match(pos_, "{", "}");
-      const std::size_t save = pos_;
-      pos_ = save + 1;
-      const Paths p = parse_seq(close - 1);
-      pos_ = close;
-      return p;
-    }
-    if (at("if")) {
-      ++pos_;
-      if (at("constexpr")) ++pos_;
-      const std::size_t cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      const int c0 = count_consumes(cond_begin, pos_);
-      const Paths a = parse_stmt();
-      Paths b{0, -1, -1};
-      if (at("else")) {
-        ++pos_;
-        b = parse_stmt();
-      }
-      Paths r;
-      r.cont = std::max(a.cont, b.cont);
-      if (r.cont >= 0) r.cont += c0;
-      r.brk = std::max(a.brk, b.brk);
-      if (r.brk >= 0) r.brk += c0;
-      r.ret = std::max(a.ret, b.ret);
-      if (r.ret >= 0) r.ret += c0;
-      return r;
-    }
-    if (at("while") || at("for")) {
-      ++pos_;
-      const std::size_t head_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      ++loop_depth_;
-      const int head = count_consumes(head_begin, pos_);
-      const Paths body = parse_stmt();
-      --loop_depth_;
-      Paths r;
-      r.cont = head + std::max({body.cont, body.brk, 0});
-      if (body.ret >= 0) r.ret = head + body.ret;
-      return r;
-    }
-    if (at("do")) {
-      ++pos_;
-      ++loop_depth_;
-      const Paths body = parse_stmt();
-      --loop_depth_;
-      if (at("while")) {
-        ++pos_;
-        const std::size_t head_begin = pos_;
-        pos_ = skip_match(pos_, "(", ")");
-        count_consumes(head_begin, pos_);
-      }
-      if (at(";")) ++pos_;
-      Paths r;
-      r.cont = std::max({body.cont, body.brk, 0});
-      r.ret = body.ret;
-      return r;
-    }
-    if (at("switch")) {
-      ++pos_;
-      const std::size_t cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      const int c0 = count_consumes(cond_begin, pos_);
-      Paths r;
-      if (!at("{")) return r;
-      const std::size_t close = skip_match(pos_, "{", "}");
-      ++pos_;
-      // Each case/default label opens a segment; statements within a
-      // segment combine sequentially, segments combine as alternatives.
-      // `break` exits the switch. Fallthrough between consuming cases is
-      // not modeled (§II actions do not rely on it), and a switch whose
-      // every segment terminates — with a default present — has no
-      // fall-out path at all (Peterson's relay switch ends in
-      // `default: HRING_ASSERT(false);`).
-      bool has_default = false;
-      int best = -1;      // max consumes on a fall-out or break path
-      int best_ret = -1;  // max consumes on a return path
-      int running = 0;    // current segment; -1 once it terminated
-      int seg_stmts = 0;  // adjacent labels share one (empty) segment
-      while (pos_ < close - 1) {
-        if (at("case") || at("default")) {
-          has_default |= at("default");
-          if (seg_stmts > 0 && running >= 0) best = std::max(best, running);
-          running = 0;
-          seg_stmts = 0;
-          while (pos_ < close - 1 && !at(":")) ++pos_;
-          ++pos_;
-          continue;
-        }
-        const std::size_t before = pos_;
-        const std::size_t saved_end = end_;
-        end_ = close - 1;
-        const Paths s = parse_stmt();
-        end_ = saved_end;
-        if (pos_ == before) {  // safety: always make progress
-          ++pos_;
-          continue;
-        }
-        ++seg_stmts;
-        if (running < 0) continue;  // dead code after a terminator
-        if (s.ret >= 0) best_ret = std::max(best_ret, running + s.ret);
-        if (s.brk >= 0) best = std::max(best, running + s.brk);
-        running = s.cont >= 0 ? running + s.cont : -1;
-      }
-      pos_ = close;
-      if (seg_stmts > 0 && running >= 0) best = std::max(best, running);
-      if (!has_default) best = std::max(best, 0);  // no-matching-label path
-      r.cont = best >= 0 ? c0 + best : -1;
-      if (best_ret >= 0) r.ret = c0 + best_ret;
-      return r;
-    }
-    if (at("return")) {
-      const std::size_t begin = pos_;
-      pos_ = skip_expression_to_semicolon();
-      return {-1, -1, count_consumes(begin, pos_)};
-    }
-    if (at("break") || at("continue")) {
-      ++pos_;
-      if (at(";")) ++pos_;
-      return {-1, 0, -1};
-    }
-    if (at("else") || at(";")) {  // stray
-      ++pos_;
-      return {0, -1, -1};
-    }
-    if (at("throw")) {
-      pos_ = skip_expression_to_semicolon();
-      return {-1, -1, -1};
-    }
-    // Expression / declaration statement.
-    const std::size_t begin = pos_;
-    pos_ = skip_expression_to_semicolon();
-    if (is_noreturn_stmt(begin, pos_)) return {-1, -1, -1};
-    return {count_consumes(begin, pos_), -1, -1};
-  }
-
-  /// True for statements that provably never complete: `HRING_ASSERT(false)`
-  /// and friends (always-on, [[noreturn]] on failure — support/assert.hpp),
-  /// plain aborts, and unreachable markers. These terminate a control-flow
-  /// path exactly like a return does.
-  [[nodiscard]] bool is_noreturn_stmt(std::size_t begin,
-                                      std::size_t end) const {
-    for (std::size_t i = begin; i < end; ++i) {
-      const Token& tok = t_[i];
-      if (!tok.is_ident()) continue;
-      if (tok.is("HRING_ASSERT") || tok.is("HRING_EXPECTS") ||
-          tok.is("HRING_ENSURES")) {
-        return i + 2 < end && t_[i + 1].is("(") && t_[i + 2].is("false") &&
-               i + 3 < end && t_[i + 3].is(")");
-      }
-      if (tok.is("abort") || tok.is("assert_fail") ||
-          tok.is("__builtin_unreachable") || tok.is("unreachable") ||
-          tok.is("exit") || tok.is("_Exit") || tok.is("terminate")) {
-        return i + 1 < end && t_[i + 1].is("(");
-      }
-      return false;  // first identifier decides
-    }
-    return false;
-  }
-
-  std::size_t skip_expression_to_semicolon() {
-    std::size_t i = pos_;
-    while (i < end_) {
-      if (t_[i].is("(")) {
-        i = skip_match(i, "(", ")");
-        continue;
-      }
-      if (t_[i].is("{")) {
-        i = skip_match(i, "{", "}");
-        continue;
-      }
-      if (t_[i].is(";")) return i + 1;
-      ++i;
-    }
-    return i;
-  }
-
-  Paths parse_seq(std::size_t end) {
-    int running = 0;
-    int brk = -1;
-    int ret = -1;
-    while (pos_ < end) {
-      const std::size_t before = pos_;
-      const std::size_t saved_end = end_;
-      end_ = end;
-      const Paths r = parse_stmt();
-      end_ = saved_end;
-      if (pos_ == before) {  // safety: always make progress
-        ++pos_;
-        continue;
-      }
-      if (r.ret >= 0) ret = std::max(ret, running + r.ret);
-      if (r.brk >= 0) brk = std::max(brk, running + r.brk);
-      if (r.cont >= 0) {
-        running += r.cont;
-      } else {
-        pos_ = end;
-        return {-1, brk, ret};
-      }
-    }
-    return {running, brk, ret};
-  }
-
-  const std::vector<Token>& t_;
-  std::size_t end_;
-  std::size_t pos_;
-  int loop_depth_ = 0;
-  bool in_loop_ = false;
+  const Toks& t_;
 };
 
 void check_consume_discipline(const Model& model,
                               std::vector<Diagnostic>& diags) {
   for (const auto& [name, cls] : model.classes) {
-    if (!guarded_shape(model, name, cls)) continue;
+    if (!model.guarded_shape(name, cls)) continue;
     for (const MethodInfo* m : model.methods_named(cls, "fire")) {
       if (!m->has_body || m->file == nullptr) continue;
       const ConsumeSummary s =
@@ -556,7 +369,7 @@ void scan_body_for_allocations(const MethodInfo& m, const std::string& where,
 
 void check_hot_path_alloc(const Model& model, std::vector<Diagnostic>& diags) {
   for (const auto& [name, cls] : model.classes) {
-    const bool guarded = guarded_shape(model, name, cls);
+    const bool guarded = model.guarded_shape(name, cls);
     for (const MethodInfo& m : cls.methods) {
       if (m.file == nullptr || !m.has_body) continue;
       const bool action_body =
@@ -584,8 +397,13 @@ void emit_diag(const SourceFile& file, std::uint32_t line, std::uint32_t col,
 ConsumeSummary analyze_consume_paths(const SourceFile& file,
                                      std::size_t body_begin,
                                      std::size_t body_end) {
-  ConsumePathAnalyzer analyzer(file, body_begin, body_end);
-  return analyzer.run();
+  ConsumeFold folder(file);
+  const Paths p =
+      folder.fold(build_stmt_tree(file, body_begin, body_end), false);
+  ConsumeSummary s;
+  s.max_on_path = static_cast<std::size_t>(std::max({p.cont, p.brk, p.ret, 0}));
+  s.in_loop = folder.in_loop;
+  return s;
 }
 
 void run_checks(const Model& model, const std::vector<std::string>& checks,

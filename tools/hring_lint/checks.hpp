@@ -49,14 +49,14 @@ void run_checks(const Model& model, const std::vector<std::string>& checks,
                 std::vector<Diagnostic>& diags);
 
 /// Appends a diagnostic unless an `hring-nolint` comment on the diagnosed
-/// line suppresses it. Shared by the token-level checks and the IR pass.
+/// line suppresses it (lexer.hpp's nolint). Shared by every check.
 void emit_diag(const SourceFile& file, std::uint32_t line, std::uint32_t col,
                const std::string& check, std::string message,
                std::vector<Diagnostic>& diags);
 
 /// Exposed for the unit tests: the maximum number of consume() calls on
 /// any control-flow path through the body token range, with loop-carried
-/// consumes reported via `in_loop`.
+/// consumes reported via `in_loop` — a fold over build_stmt_tree's tree.
 struct ConsumeSummary {
   std::size_t max_on_path = 0;
   bool in_loop = false;

@@ -11,64 +11,6 @@
 namespace hring::lint {
 namespace {
 
-using Toks = std::vector<Token>;
-
-std::size_t skip_balanced(const Toks& t, std::size_t i, std::string_view open,
-                          std::string_view close) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is(open)) {
-      ++depth;
-    } else if (t[i].is(close)) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return i;
-}
-
-std::size_t skip_angles(const Toks& t, std::size_t i) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("<")) {
-      ++depth;
-    } else if (t[i].is(">")) {
-      if (--depth == 0) return i + 1;
-    } else if (t[i].is(">>")) {
-      if (depth <= 2) return i + 1;
-      depth -= 2;
-    } else if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is(";") || t[i].is("{")) {
-      return i;  // not a template list after all
-    }
-  }
-  return i;
-}
-
-/// The comment nearest to (and not past) `line` within [line - above, line]
-/// whose text contains `marker`; nullptr when absent.
-const Comment* find_annotation(const SourceFile& file, std::uint32_t line,
-                               std::uint32_t above, std::string_view marker) {
-  const Comment* best = nullptr;
-  for (const Comment& c : file.comments) {
-    if (c.line > line || c.line + above < line) continue;
-    if (c.text.find(marker) == std::string_view::npos) continue;
-    if (best == nullptr || c.line > best->line) best = &c;
-  }
-  return best;
-}
-
-[[nodiscard]] std::string_view after_marker(std::string_view text,
-                                            std::string_view marker) {
-  const std::size_t at = text.find(marker);
-  std::string_view rest = text.substr(at + marker.size());
-  while (!rest.empty() &&
-         std::isspace(static_cast<unsigned char>(rest.front())) != 0) {
-    rest.remove_prefix(1);
-  }
-  return rest;
-}
-
 /// Trims a comment tail to the annotation's own text: stops at a block
 /// comment terminator and trailing whitespace.
 [[nodiscard]] std::string_view trim_spec(std::string_view spec) {
@@ -192,266 +134,17 @@ std::vector<SharedDecl> shared_decls(const SourceFile& file) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Statement-path builder
-
-namespace {
-
-class StmtBuilder {
- public:
-  StmtBuilder(const SourceFile& file, std::size_t begin, std::size_t end)
-      : t_(file.tokens), end_(end), pos_(begin) {}
-
-  [[nodiscard]] Stmt run(std::size_t begin, std::size_t end) {
-    Stmt root;
-    root.kind = Stmt::Kind::kBlock;
-    root.begin = begin;
-    root.end = end;
-    parse_children(root, end);
-    return root;
+std::set<std::string> atomic_names_of(const SourceFile& file) {
+  const Toks& t = file.tokens;
+  std::set<std::string> names;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!t[i].is("atomic") || !t[i + 1].is("<")) continue;
+    const std::size_t j = skip_angles(t, i + 1);
+    if (j < t.size() && t[j].is_ident()) {
+      names.insert(std::string(t[j].text));
+    }
   }
-
- private:
-  [[nodiscard]] bool at(std::string_view s) const {
-    return pos_ < end_ && t_[pos_].is(s);
-  }
-
-  std::size_t skip_match(std::size_t i, std::string_view open,
-                         std::string_view close) {
-    std::size_t depth = 0;
-    for (; i < end_; ++i) {
-      if (t_[i].is(open)) ++depth;
-      if (t_[i].is(close) && --depth == 0) return i + 1;
-    }
-    return i;
-  }
-
-  std::size_t skip_expression_to_semicolon() {
-    std::size_t i = pos_;
-    while (i < end_) {
-      if (t_[i].is("(")) {
-        i = skip_match(i, "(", ")");
-        continue;
-      }
-      if (t_[i].is("{")) {
-        i = skip_match(i, "{", "}");
-        continue;
-      }
-      if (t_[i].is(";")) return i + 1;
-      ++i;
-    }
-    return i;
-  }
-
-  /// Parses statements into `parent.children` until `end` (exclusive).
-  void parse_children(Stmt& parent, std::size_t end) {
-    const std::size_t saved_end = end_;
-    end_ = end;
-    while (pos_ < end) {
-      const std::size_t before = pos_;
-      parent.children.push_back(parse_stmt());
-      if (pos_ == before) {  // safety: always make progress
-        parent.children.pop_back();
-        ++pos_;
-      }
-    }
-    end_ = saved_end;
-  }
-
-  Stmt parse_stmt() {
-    Stmt s;
-    s.begin = pos_;
-    if (at("{")) {
-      const std::size_t close = skip_match(pos_, "{", "}");
-      s.kind = Stmt::Kind::kBlock;
-      ++pos_;
-      parse_children(s, close - 1);
-      pos_ = close;
-      s.end = pos_;
-      return s;
-    }
-    if (at("if")) {
-      s.kind = Stmt::Kind::kIf;
-      ++pos_;
-      if (at("constexpr")) ++pos_;
-      s.cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      s.cond_end = pos_;
-      s.children.push_back(parse_stmt());
-      if (at("else")) {
-        ++pos_;
-        s.children.push_back(parse_stmt());
-      }
-      s.end = pos_;
-      return s;
-    }
-    if (at("while") || at("for")) {
-      s.kind = Stmt::Kind::kLoop;
-      ++pos_;
-      s.cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      s.cond_end = pos_;
-      s.children.push_back(parse_stmt());
-      s.end = pos_;
-      return s;
-    }
-    if (at("do")) {
-      s.kind = Stmt::Kind::kLoop;
-      ++pos_;
-      s.children.push_back(parse_stmt());
-      if (at("while")) {
-        ++pos_;
-        s.cond_begin = pos_;
-        pos_ = skip_match(pos_, "(", ")");
-        s.cond_end = pos_;
-      }
-      if (at(";")) ++pos_;
-      s.end = pos_;
-      return s;
-    }
-    if (at("switch")) {
-      s.kind = Stmt::Kind::kSwitch;
-      ++pos_;
-      s.cond_begin = pos_;
-      pos_ = skip_match(pos_, "(", ")");
-      s.cond_end = pos_;
-      if (!at("{")) {
-        s.end = pos_;
-        return s;
-      }
-      const std::size_t close = skip_match(pos_, "{", "}");
-      const std::size_t saved_end = end_;
-      end_ = close - 1;
-      ++pos_;
-      while (pos_ < close - 1) {
-        if (at("case") || at("default")) {
-          while (pos_ < close - 1 && !at(":")) ++pos_;
-          ++pos_;
-          continue;
-        }
-        const std::size_t before = pos_;
-        s.children.push_back(parse_stmt());
-        if (pos_ == before) {
-          s.children.pop_back();
-          ++pos_;
-        }
-      }
-      end_ = saved_end;
-      pos_ = close;
-      s.end = pos_;
-      return s;
-    }
-    if (at("return")) {
-      s.kind = Stmt::Kind::kReturn;
-      pos_ = skip_expression_to_semicolon();
-      s.end = pos_;
-      return s;
-    }
-    if (at("break") || at("continue") || at("goto") || at("throw")) {
-      s.kind = Stmt::Kind::kJump;
-      pos_ = skip_expression_to_semicolon();
-      s.end = pos_;
-      return s;
-    }
-    if (at("else") || at(";")) {  // stray
-      s.kind = Stmt::Kind::kExpr;
-      ++pos_;
-      s.end = pos_;
-      return s;
-    }
-    s.kind = Stmt::Kind::kExpr;
-    pos_ = skip_expression_to_semicolon();
-    s.end = pos_;
-    return s;
-  }
-
-  const Toks& t_;
-  std::size_t end_;
-  std::size_t pos_;
-};
-
-[[nodiscard]] bool stmt_contains(const Stmt& s, std::size_t tok) {
-  return tok >= s.begin && tok < s.end;
-}
-
-/// Token ranges guaranteed to execute given that `s` begins executing:
-/// whole expression/return/jump statements, every child of a block (a
-/// child that exits abnormally makes anything sequenced after `s`
-/// unreachable, which is exactly the context dominance is queried in),
-/// and only the condition of if/loop/switch.
-void collect_guaranteed(const Stmt& s,
-                        std::vector<std::pair<std::size_t, std::size_t>>& out) {
-  switch (s.kind) {
-    case Stmt::Kind::kExpr:
-    case Stmt::Kind::kReturn:
-    case Stmt::Kind::kJump:
-      out.emplace_back(s.begin, s.end);
-      return;
-    case Stmt::Kind::kBlock:
-      for (const Stmt& child : s.children) collect_guaranteed(child, out);
-      return;
-    case Stmt::Kind::kIf:
-    case Stmt::Kind::kLoop:
-    case Stmt::Kind::kSwitch:
-      if (s.cond_end > s.cond_begin) {
-        out.emplace_back(s.cond_begin, s.cond_end);
-      }
-      return;
-  }
-}
-
-[[nodiscard]] bool ranges_intersect(
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-    std::size_t from, std::size_t to) {
-  for (const auto& [b, e] : ranges) {
-    if (b < to && from < e) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-Stmt build_stmt_tree(const SourceFile& file, std::size_t begin,
-                     std::size_t end) {
-  StmtBuilder builder(file, begin, end);
-  return builder.run(begin, end);
-}
-
-bool loop_enclosed(const Stmt& root, std::size_t tok) {
-  if (!stmt_contains(root, tok)) return false;
-  if (root.kind == Stmt::Kind::kLoop) return true;
-  for (const Stmt& child : root.children) {
-    if (stmt_contains(child, tok)) return loop_enclosed(child, tok);
-  }
-  return false;
-}
-
-bool dominated_by_range(const Stmt& root, std::size_t tok, std::size_t from,
-                        std::size_t to) {
-  if (!stmt_contains(root, tok)) return false;
-  std::vector<std::pair<std::size_t, std::size_t>> guaranteed;
-  const Stmt* node = &root;
-  for (;;) {
-    // Conditions evaluate before any branch or body they guard.
-    if (node->cond_end > node->cond_begin && tok >= node->cond_end) {
-      guaranteed.emplace_back(node->cond_begin, node->cond_end);
-    }
-    const Stmt* next = nullptr;
-    for (const Stmt& child : node->children) {
-      if (stmt_contains(child, tok)) {
-        next = &child;
-        break;
-      }
-      // Sequential siblings run to completion before `tok`'s statement
-      // begins — but only in a block; if/switch children are alternatives.
-      if (node->kind == Stmt::Kind::kBlock) collect_guaranteed(child, guaranteed);
-    }
-    if (next == nullptr) break;
-    node = next;
-  }
-  // Earlier tokens of the statement (or condition) containing `tok`.
-  guaranteed.emplace_back(node->begin, tok);
-  return ranges_intersect(guaranteed, from, to);
+  return names;
 }
 
 // ---------------------------------------------------------------------------
@@ -505,21 +198,6 @@ struct MemberOp {
     }
   }
   return {};
-}
-
-/// Names declared std::atomic<...> in this file (the atomics-discipline
-/// receiver-resolution idiom: per-file, declaration-site driven).
-[[nodiscard]] std::set<std::string> atomic_names_of(const SourceFile& file) {
-  const Toks& t = file.tokens;
-  std::set<std::string> names;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!t[i].is("atomic") || !t[i + 1].is("<")) continue;
-    const std::size_t j = skip_angles(t, i + 1);
-    if (j < t.size() && t[j].is_ident()) {
-      names.insert(std::string(t[j].text));
-    }
-  }
-  return names;
 }
 
 /// Names declared std::condition_variable in this file.
@@ -1031,7 +709,7 @@ class BlockReach {
         memo_.emplace(m, std::nullopt);  // cycle-breaker: in-progress = clean
     std::optional<SinkInfo> found;
     for (const CallSite& call : call_sites(m)) {
-      if (edge_suppressed(*m->file, call.line)) continue;
+      if (nolint(*m->file, call.line, "no-block-in-hot-path")) continue;
       const auto targets = bodies_.find(call.name);
       // A sink name that resolves to a project-defined body is that body,
       // not the syscall (an engine's select() is algorithm selection);
@@ -1080,33 +758,9 @@ class BlockReach {
     return out;
   }
 
-  [[nodiscard]] static bool edge_suppressed(const SourceFile& file,
-                                            std::uint32_t line) {
-    for (const Comment& c : file.comments) {
-      if (c.line != line) continue;
-      const std::size_t at = c.text.find("hring-nolint");
-      if (at == std::string_view::npos) continue;
-      const std::size_t paren = c.text.find('(', at);
-      if (paren == std::string_view::npos) return true;
-      if (c.text.find("no-block-in-hot-path", paren) !=
-          std::string_view::npos) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   std::map<std::string, std::vector<const MethodInfo*>> bodies_;
   std::map<const MethodInfo*, std::optional<SinkInfo>> memo_;
 };
-
-[[nodiscard]] bool guarded_shape_c(const Model& model, const std::string& name,
-                                   const ClassInfo& cls) {
-  if (name.empty()) return false;
-  if (model.derives_from(name)) return true;
-  return !model.methods_named(cls, "enabled").empty() &&
-         !model.methods_named(cls, "fire").empty();
-}
 
 }  // namespace
 
@@ -1114,7 +768,7 @@ void check_no_block_in_hot_path(const Model& model,
                                 std::vector<Diagnostic>& diags) {
   BlockReach reach(model);
   for (const auto& [name, cls] : model.classes) {
-    const bool guarded = guarded_shape_c(model, name, cls);
+    const bool guarded = model.guarded_shape(name, cls);
     for (const MethodInfo& m : cls.methods) {
       if (!m.has_body || m.file == nullptr) continue;
       const bool action_root =

@@ -50,6 +50,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -109,50 +110,11 @@ struct SharedDecl {
 /// resolution.
 [[nodiscard]] std::vector<SharedDecl> shared_decls(const SourceFile& file);
 
-// ---------------------------------------------------------------------------
-// Statement-path model
-//
-// A per-function statement tree generalizing the consume-discipline path
-// analyzer: every body is parsed once into nested statements with token
-// ranges, and the checks query structural facts (loop enclosure,
-// guaranteed-before ordering) instead of re-walking tokens.
-
-struct Stmt {
-  enum class Kind : std::uint8_t {
-    kExpr,    ///< expression / declaration statement
-    kBlock,   ///< `{ ... }`
-    kIf,      ///< children: then[, else]
-    kLoop,    ///< while/for/do body
-    kSwitch,  ///< children: the case segments as blocks
-    kReturn,
-    kJump,    ///< break / continue / goto / throw
-  };
-  Kind kind = Kind::kExpr;
-  /// Token range of the whole statement, including any condition.
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  /// Condition range for if/loop/switch ([cond_begin, cond_end)).
-  std::size_t cond_begin = 0;
-  std::size_t cond_end = 0;
-  std::vector<Stmt> children;
-};
-
-/// Parses the body token range [begin, end) into a statement tree rooted
-/// at a kBlock.
-[[nodiscard]] Stmt build_stmt_tree(const SourceFile& file, std::size_t begin,
-                                   std::size_t end);
-
-/// True when token index `tok` lies inside a loop statement of `root`
-/// (body or condition).
-[[nodiscard]] bool loop_enclosed(const Stmt& root, std::size_t tok);
-
-/// True when some token in [from, to) is guaranteed to execute before
-/// token `tok` on every path through the tree: the range intersects a
-/// preceding sibling (or earlier tokens of the same statement) on the
-/// ancestor chain of `tok`. Conditional branches that merely *may* run
-/// do not count.
-[[nodiscard]] bool dominated_by_range(const Stmt& root, std::size_t tok,
-                                      std::size_t from, std::size_t to);
+/// Names declared std::atomic<...> in `file` (members and locals alike).
+/// Receivers resolve per file: atomics here are always used where they
+/// are declared, and a global set would trip on unrelated plain variables
+/// that happen to share a name across files.
+[[nodiscard]] std::set<std::string> atomic_names_of(const SourceFile& file);
 
 // ---------------------------------------------------------------------------
 // The five concurrency checks (dispatched by run_checks)

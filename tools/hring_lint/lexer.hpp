@@ -8,8 +8,12 @@
 // the structural parse. Preprocessor directives are skipped wholesale
 // (including line continuations): the linter analyses the file as written,
 // not the preprocessed translation unit.
+//
+// The token and comment toolkit below is the one set of skipping and
+// annotation-lookup helpers every model and check walks the streams with.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -56,5 +60,44 @@ void lex(SourceFile& file);
 
 /// Reads `path` from disk and lexes it. Returns false when unreadable.
 [[nodiscard]] bool lex_file(const std::string& path, SourceFile& file);
+
+// ---------------------------------------------------------------------------
+// Token and comment toolkit
+
+using Toks = std::vector<Token>;
+
+/// Index of the token after the `close` matching the `open` at t[i]. Stops
+/// at `limit` or the kEof token when unbalanced.
+[[nodiscard]] std::size_t skip_balanced(const Toks& t, std::size_t i,
+                                        std::string_view open,
+                                        std::string_view close,
+                                        std::size_t limit = SIZE_MAX);
+
+/// Skips a template argument/parameter list starting at `<`; `>>` closes
+/// two levels. Returns the index after the closing `>`, or the `;`/`{`
+/// that shows it was not a template list after all.
+[[nodiscard]] std::size_t skip_angles(const Toks& t, std::size_t i);
+
+/// Index after the next `;` outside parentheses and braces, or `limit`
+/// (or the kEof token) when there is none.
+[[nodiscard]] std::size_t skip_to_semicolon(const Toks& t, std::size_t i,
+                                            std::size_t limit = SIZE_MAX);
+
+/// The comment nearest to (and not past) `line` within [line - above, line]
+/// whose text contains `marker`; nullptr when absent.
+[[nodiscard]] const Comment* find_annotation(const SourceFile& file,
+                                             std::uint32_t line,
+                                             std::uint32_t above,
+                                             std::string_view marker);
+
+/// The text following the first `marker` in `text`, leading whitespace
+/// dropped.
+[[nodiscard]] std::string_view after_marker(std::string_view text,
+                                            std::string_view marker);
+
+/// True when a `// hring-nolint(<check>)` (or bare `// hring-nolint`)
+/// comment on `line` suppresses `check`.
+[[nodiscard]] bool nolint(const SourceFile& file, std::uint32_t line,
+                          std::string_view check);
 
 }  // namespace hring::lint

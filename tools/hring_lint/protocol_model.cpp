@@ -9,57 +9,11 @@
 #include <utility>
 
 #include "checks.hpp"
+#include "concurrency_model.hpp"
 #include "support/json.hpp"
 
 namespace hring::lint {
 namespace {
-
-using Toks = std::vector<Token>;
-
-std::size_t skip_balanced(const Toks& t, std::size_t i, std::string_view open,
-                          std::string_view close) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is(open)) {
-      ++depth;
-    } else if (t[i].is(close)) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return i;
-}
-
-std::size_t skip_angles(const Toks& t, std::size_t i) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("<")) {
-      ++depth;
-    } else if (t[i].is(">")) {
-      if (--depth == 0) return i + 1;
-    } else if (t[i].is(">>")) {
-      if (depth <= 2) return i + 1;
-      depth -= 2;
-    } else if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is(";") || t[i].is("{")) {
-      return i;  // not a template list after all
-    }
-  }
-  return i;
-}
-
-std::size_t skip_to_semicolon(const Toks& t, std::size_t i) {
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is("{")) {
-      i = skip_balanced(t, i, "{", "}") - 1;
-    } else if (t[i].is(";")) {
-      return i + 1;
-    }
-  }
-  return i;
-}
 
 [[nodiscard]] std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -77,30 +31,6 @@ std::size_t skip_to_semicolon(const Toks& t, std::size_t i) {
 
 // ---------------------------------------------------------------------------
 // Annotation lookup
-
-/// The comment nearest to (and not past) `line` within [line - above, line]
-/// whose text contains `marker`; nullptr when absent.
-const Comment* find_annotation(const SourceFile& file, std::uint32_t line,
-                               std::uint32_t above, std::string_view marker) {
-  const Comment* best = nullptr;
-  for (const Comment& c : file.comments) {
-    if (c.line > line || c.line + above < line) continue;
-    if (c.text.find(marker) == std::string_view::npos) continue;
-    if (best == nullptr || c.line > best->line) best = &c;
-  }
-  return best;
-}
-
-[[nodiscard]] std::string_view after_marker(std::string_view text,
-                                            std::string_view marker) {
-  const std::size_t at = text.find(marker);
-  std::string_view rest = text.substr(at + marker.size());
-  while (!rest.empty() &&
-         std::isspace(static_cast<unsigned char>(rest.front())) != 0) {
-    rest.remove_prefix(1);
-  }
-  return rest;
-}
 
 [[nodiscard]] std::string take_word(std::string_view& rest) {
   std::size_t end = 0;
@@ -346,16 +276,6 @@ const MethodInfo* body_of(const Model& model, const ClassInfo& cls,
     if (m->has_body && m->file != nullptr) return m;
   }
   return nullptr;
-}
-
-/// True for classes that participate in the guarded-action protocol: they
-/// derive from Process or expose the enabled/fire shape (batch algorithms).
-[[nodiscard]] bool guarded_class(const Model& model, const std::string& name,
-                                 const ClassInfo& cls) {
-  if (name.empty()) return false;
-  if (model.derives_from(name)) return true;
-  return !model.methods_named(cls, "enabled").empty() &&
-         !model.methods_named(cls, "fire").empty();
 }
 
 /// Message factory name -> tag enumerator (kToken, ...), built from the
@@ -987,7 +907,7 @@ void check_alphabet_closure(const Model& model,
   const auto eit = model.enums.find("MsgKind");
 
   for (const auto& [name, cls] : model.classes) {
-    if (!guarded_class(model, name, cls)) continue;
+    if (!model.guarded_shape(name, cls)) continue;
     std::set<std::string> sends;
     std::set<std::string> handles;
     const MethodInfo* first_fire = nullptr;
@@ -1208,18 +1128,7 @@ void check_atomics_discipline(const Model& model,
 
   for (const SourceFile* file : model.files) {
     const Toks& t = file->tokens;
-    // Names declared std::atomic<...> in this file (members and locals
-    // alike). Scoped per file: atomics here are always used where they
-    // are declared, and a global set would trip on unrelated plain
-    // variables that happen to share a name across files.
-    std::set<std::string> atomic_names;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (!t[i].is("atomic") || !t[i + 1].is("<")) continue;
-      const std::size_t j = skip_angles(t, i + 1);
-      if (j < t.size() && t[j].is_ident()) {
-        atomic_names.insert(std::string(t[j].text));
-      }
-    }
+    const std::set<std::string> atomic_names = atomic_names_of(*file);
     if (atomic_names.empty()) continue;
     for (std::size_t i = 0; i < t.size(); ++i) {
       const Token& tok = t[i];

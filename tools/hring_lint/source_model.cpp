@@ -5,57 +5,6 @@
 namespace hring::lint {
 namespace {
 
-using Toks = std::vector<Token>;
-
-/// Index of the token after the one matching the opener at `i`
-/// (tokens[i] must be `open`). Returns the end index when unbalanced.
-std::size_t skip_balanced(const Toks& t, std::size_t i, std::string_view open,
-                          std::string_view close) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is(open)) {
-      ++depth;
-    } else if (t[i].is(close)) {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return i;
-}
-
-/// Skips a template argument/parameter list starting at `<`. `>>` closes
-/// two levels. Returns the index after the closing `>`.
-std::size_t skip_angles(const Toks& t, std::size_t i) {
-  std::size_t depth = 0;
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("<")) {
-      ++depth;
-    } else if (t[i].is(">")) {
-      if (--depth == 0) return i + 1;
-    } else if (t[i].is(">>")) {
-      if (depth <= 2) return i + 1;
-      depth -= 2;
-    } else if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is(";") || t[i].is("{")) {
-      return i;  // not a template list after all; bail out
-    }
-  }
-  return i;
-}
-
-std::size_t skip_to_semicolon(const Toks& t, std::size_t i) {
-  for (; i < t.size() && t[i].kind != TokKind::kEof; ++i) {
-    if (t[i].is("(")) {
-      i = skip_balanced(t, i, "(", ")") - 1;
-    } else if (t[i].is("{")) {
-      i = skip_balanced(t, i, "{", "}") - 1;
-    } else if (t[i].is(";")) {
-      return i + 1;
-    }
-  }
-  return i;
-}
-
 /// Expression contexts in which `ident (` is a call, not a declarator.
 bool prev_blocks_declarator(const Token& prev) {
   static const std::set<std::string_view> kDeny = {
@@ -73,18 +22,6 @@ class Parser {
   void run() { parse_scope(0, t_.size(), nullptr); }
 
  private:
-  /// True when a `// hring-lint: hot-path` comment sits on or up to four
-  /// lines above `line` (the method-name token's line).
-  [[nodiscard]] bool hot_path_annotated(std::uint32_t line) const {
-    for (const Comment& c : file_.comments) {
-      if (c.line + 4 >= line && c.line <= line &&
-          c.text.find("hring-lint: hot-path") != std::string_view::npos) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   ClassInfo& class_entry(const std::string& name, std::uint32_t line) {
     ClassInfo& cls = model_.classes[name];
     if (cls.name.empty()) {
@@ -222,7 +159,9 @@ class Parser {
       method.has_body = true;
       method.body_begin = i + 1;
       method.body_end = body_end_excl > 0 ? body_end_excl - 1 : i + 1;
-      method.hot_path = hot_path_annotated(method.line);
+      method.hot_path =
+          find_annotation(file_, method.line, 4, "hring-lint: hot-path") !=
+          nullptr;
       record(method, owner, cls);
       return body_end_excl;
     }
@@ -406,6 +345,14 @@ std::vector<const MethodInfo*> Model::methods_named(
   return out;
 }
 
+bool Model::guarded_shape(const std::string& name,
+                          const ClassInfo& cls) const {
+  if (name.empty()) return false;
+  if (derives_from(name)) return true;
+  return !methods_named(cls, "enabled").empty() &&
+         !methods_named(cls, "fire").empty();
+}
+
 bool Model::has_nonconst_method(const ClassInfo& cls,
                                 const std::string& name) const {
   for (const MethodInfo& m : cls.methods) {
@@ -418,6 +365,247 @@ void parse_file(const SourceFile& file, Model& model) {
   model.files.push_back(&file);
   Parser parser(file, model);
   parser.run();
+}
+
+// ---------------------------------------------------------------------------
+// Statement model
+
+namespace {
+
+/// True for statements that provably never complete: `HRING_ASSERT(false)`
+/// and friends (always-on, [[noreturn]] on failure — support/assert.hpp),
+/// plain aborts, and unreachable markers. The first identifier decides.
+[[nodiscard]] bool is_noreturn_stmt(const Toks& t, std::size_t begin,
+                                    std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const Token& tok = t[i];
+    if (!tok.is_ident()) continue;
+    if (tok.is("HRING_ASSERT") || tok.is("HRING_EXPECTS") ||
+        tok.is("HRING_ENSURES")) {
+      return i + 3 < end && t[i + 1].is("(") && t[i + 2].is("false") &&
+             t[i + 3].is(")");
+    }
+    if (tok.is("abort") || tok.is("assert_fail") ||
+        tok.is("__builtin_unreachable") || tok.is("unreachable") ||
+        tok.is("exit") || tok.is("_Exit") || tok.is("terminate")) {
+      return i + 1 < end && t[i + 1].is("(");
+    }
+    return false;
+  }
+  return false;
+}
+
+class StmtBuilder {
+ public:
+  StmtBuilder(const SourceFile& file, std::size_t begin, std::size_t end)
+      : t_(file.tokens), end_(end), pos_(begin) {}
+
+  [[nodiscard]] Stmt run() {
+    Stmt root;
+    root.kind = Stmt::Kind::kBlock;
+    root.begin = pos_;
+    root.end = end_;
+    parse_children(root, end_);
+    return root;
+  }
+
+ private:
+  [[nodiscard]] bool at(std::string_view s) const {
+    return pos_ < end_ && t_[pos_].is(s);
+  }
+
+  void parse_cond(Stmt& s) {
+    s.cond_begin = pos_;
+    pos_ = skip_balanced(t_, pos_, "(", ")", end_);
+    s.cond_end = pos_;
+  }
+
+  /// Parses one statement into `parent.children`; one that makes no
+  /// progress is dropped and its token skipped.
+  void parse_child(Stmt& parent) {
+    const std::size_t before = pos_;
+    parent.children.push_back(parse_stmt());
+    if (pos_ == before) {
+      parent.children.pop_back();
+      ++pos_;
+    }
+  }
+
+  /// Parses statements into `parent.children` until `end` (exclusive).
+  void parse_children(Stmt& parent, std::size_t end) {
+    const std::size_t saved_end = end_;
+    end_ = end;
+    while (pos_ < end) parse_child(parent);
+    end_ = saved_end;
+  }
+
+  /// Parses the braced switch body at pos_ into one kBlock segment per
+  /// case/default label (statements before the first label form their own).
+  void parse_segments(Stmt& s) {
+    const std::size_t close = skip_balanced(t_, pos_, "{", "}", end_);
+    const std::size_t saved_end = end_;
+    end_ = close - 1;
+    ++pos_;
+    while (pos_ < end_) {
+      const bool label = at("case") || at("default");
+      if (label || s.children.empty()) {
+        if (!s.children.empty()) s.children.back().end = pos_;
+        Stmt seg;
+        seg.kind = Stmt::Kind::kBlock;
+        seg.begin = pos_;
+        s.children.push_back(std::move(seg));
+      }
+      if (!label) {
+        parse_child(s.children.back());
+        continue;
+      }
+      while (pos_ < end_ && !at(":")) ++pos_;
+      ++pos_;
+    }
+    if (!s.children.empty()) s.children.back().end = end_;
+    end_ = saved_end;
+    pos_ = close;
+  }
+
+  Stmt parse_stmt() {
+    Stmt s;
+    s.begin = pos_;
+    if (at("{")) {
+      const std::size_t close = skip_balanced(t_, pos_, "{", "}", end_);
+      s.kind = Stmt::Kind::kBlock;
+      ++pos_;
+      parse_children(s, close - 1);
+      pos_ = close;
+    } else if (at("if")) {
+      s.kind = Stmt::Kind::kIf;
+      ++pos_;
+      if (at("constexpr")) ++pos_;
+      parse_cond(s);
+      s.children.push_back(parse_stmt());
+      if (at("else")) {
+        ++pos_;
+        s.children.push_back(parse_stmt());
+      }
+    } else if (at("while") || at("for")) {
+      s.kind = Stmt::Kind::kLoop;
+      ++pos_;
+      parse_cond(s);
+      s.children.push_back(parse_stmt());
+    } else if (at("do")) {
+      s.kind = Stmt::Kind::kLoop;
+      ++pos_;
+      s.children.push_back(parse_stmt());
+      if (at("while")) {
+        ++pos_;
+        parse_cond(s);
+      }
+      if (at(";")) ++pos_;
+    } else if (at("switch")) {
+      s.kind = Stmt::Kind::kSwitch;
+      ++pos_;
+      parse_cond(s);
+      if (at("{")) parse_segments(s);
+    } else if (at("else") || at(";")) {  // stray
+      ++pos_;
+    } else {
+      if (at("return")) {
+        s.kind = Stmt::Kind::kReturn;
+      } else if (at("break") || at("continue")) {
+        s.kind = Stmt::Kind::kBreak;
+      } else if (at("goto") || at("throw")) {
+        s.kind = Stmt::Kind::kJump;
+      }
+      pos_ = skip_to_semicolon(t_, pos_, end_);
+      if (s.kind == Stmt::Kind::kExpr && is_noreturn_stmt(t_, s.begin, pos_)) {
+        s.kind = Stmt::Kind::kJump;
+      }
+    }
+    s.end = pos_;
+    return s;
+  }
+
+  const Toks& t_;
+  std::size_t end_;
+  std::size_t pos_;
+};
+
+[[nodiscard]] bool stmt_contains(const Stmt& s, std::size_t tok) {
+  return tok >= s.begin && tok < s.end;
+}
+
+/// Token ranges guaranteed to execute given that `s` begins executing:
+/// whole simple statements, every child of a block (a child that exits
+/// abnormally makes anything sequenced after `s` unreachable, which is
+/// exactly the context dominance is queried in), and only the condition
+/// of if/loop/switch.
+void collect_guaranteed(const Stmt& s,
+                        std::vector<std::pair<std::size_t, std::size_t>>& out) {
+  switch (s.kind) {
+    case Stmt::Kind::kExpr:
+    case Stmt::Kind::kReturn:
+    case Stmt::Kind::kBreak:
+    case Stmt::Kind::kJump:
+      out.emplace_back(s.begin, s.end);
+      return;
+    case Stmt::Kind::kBlock:
+      for (const Stmt& child : s.children) collect_guaranteed(child, out);
+      return;
+    case Stmt::Kind::kIf:
+    case Stmt::Kind::kLoop:
+    case Stmt::Kind::kSwitch:
+      if (s.cond_end > s.cond_begin) {
+        out.emplace_back(s.cond_begin, s.cond_end);
+      }
+      return;
+  }
+}
+
+}  // namespace
+
+Stmt build_stmt_tree(const SourceFile& file, std::size_t begin,
+                     std::size_t end) {
+  return StmtBuilder(file, begin, end).run();
+}
+
+bool loop_enclosed(const Stmt& root, std::size_t tok) {
+  if (!stmt_contains(root, tok)) return false;
+  if (root.kind == Stmt::Kind::kLoop) return true;
+  for (const Stmt& child : root.children) {
+    if (stmt_contains(child, tok)) return loop_enclosed(child, tok);
+  }
+  return false;
+}
+
+bool dominated_by_range(const Stmt& root, std::size_t tok, std::size_t from,
+                        std::size_t to) {
+  if (!stmt_contains(root, tok)) return false;
+  std::vector<std::pair<std::size_t, std::size_t>> guaranteed;
+  const Stmt* node = &root;
+  for (;;) {
+    // Conditions evaluate before any branch or body they guard.
+    if (node->cond_end > node->cond_begin && tok >= node->cond_end) {
+      guaranteed.emplace_back(node->cond_begin, node->cond_end);
+    }
+    const Stmt* next = nullptr;
+    for (const Stmt& child : node->children) {
+      if (stmt_contains(child, tok)) {
+        next = &child;
+        break;
+      }
+      // Sequential siblings run to completion before `tok`'s statement
+      // begins — but only in a block (or case segment); if branches and
+      // switch segments are alternatives.
+      if (node->kind == Stmt::Kind::kBlock) collect_guaranteed(child, guaranteed);
+    }
+    if (next == nullptr) break;
+    node = next;
+  }
+  // Earlier tokens of the statement (or condition) containing `tok`.
+  guaranteed.emplace_back(node->begin, tok);
+  for (const auto& [b, e] : guaranteed) {
+    if (b < to && from < e) return true;
+  }
+  return false;
 }
 
 }  // namespace hring::lint

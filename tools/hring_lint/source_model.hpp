@@ -9,6 +9,9 @@
 // terminal identifier of the base-specifier (`sim::Process` → `Process`),
 // which is unambiguous in this codebase and in the fixture corpus; the
 // trade-off is documented in docs/STATIC_ANALYSIS.md.
+//
+// Function bodies get one statement model on top (Stmt, below): every
+// check that reasons about control flow folds over or queries that tree.
 #pragma once
 
 #include <cstddef>
@@ -83,10 +86,57 @@ struct Model {
   /// (used by the guard-purity check for same-class calls).
   [[nodiscard]] bool has_nonconst_method(const ClassInfo& cls,
                                          const std::string& name) const;
+
+  /// True for classes with the guarded-action shape: Process subclasses
+  /// and the batch mirrors, which expose enabled()/fire() without deriving.
+  [[nodiscard]] bool guarded_shape(const std::string& name,
+                                   const ClassInfo& cls) const;
 };
 
 /// Parses one lexed file into the model (call once per file; the file must
 /// outlive the model).
 void parse_file(const SourceFile& file, Model& model);
+
+// ---------------------------------------------------------------------------
+// Statement model
+
+struct Stmt {
+  enum class Kind : std::uint8_t {
+    kExpr,    ///< expression / declaration statement
+    kBlock,   ///< `{ ... }`, or one case segment of a switch
+    kIf,      ///< children: then[, else]
+    kLoop,    ///< while/for/do body
+    kSwitch,  ///< children: one kBlock segment per case/default label
+    kReturn,
+    kBreak,   ///< break / continue
+    kJump,    ///< goto / throw / a no-return call such as HRING_ASSERT(false)
+  };
+  Kind kind = Kind::kExpr;
+  /// Token range of the whole statement, including any condition. A case
+  /// segment runs from its label to the next label or the closing brace.
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  /// Condition range for if/loop/switch ([cond_begin, cond_end)).
+  std::size_t cond_begin = 0;
+  std::size_t cond_end = 0;
+  std::vector<Stmt> children;
+};
+
+/// Parses the body token range [begin, end) into a statement tree rooted
+/// at a kBlock.
+[[nodiscard]] Stmt build_stmt_tree(const SourceFile& file, std::size_t begin,
+                                   std::size_t end);
+
+/// True when token index `tok` lies inside a loop statement of `root`
+/// (body or condition).
+[[nodiscard]] bool loop_enclosed(const Stmt& root, std::size_t tok);
+
+/// True when some token in [from, to) is guaranteed to execute before
+/// token `tok` on every path through the tree: the range intersects a
+/// preceding sibling (or earlier tokens of the same statement) on the
+/// ancestor chain of `tok`. Conditional branches and other case segments
+/// that merely *may* run do not count.
+[[nodiscard]] bool dominated_by_range(const Stmt& root, std::size_t tok,
+                                      std::size_t from, std::size_t to);
 
 }  // namespace hring::lint
