@@ -105,11 +105,17 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
         slot.stats.peak_space_bits, algo_.space_bits(g, slot.label_bits));
     age_[g] = 0;
   }
+  // Age the enabled-but-skipped processes: one merge pass over the two
+  // ascending sets (same pass as StepEngine::step_once).
+  std::size_t c = 0;
   for (const sim::ProcessId pid : enabled_buf_) {
-    if (!std::binary_search(chosen_buf_.begin(), chosen_buf_.end(), pid)) {
+    if (c < chosen_buf_.size() && chosen_buf_[c] == pid) {
+      ++c;
+    } else {
       ++age_[base + pid];
     }
   }
+  HRING_ASSERT(c == chosen_buf_.size());  // chosen ⊆ enabled
   ++slot.step;
   slot.stats.steps = slot.step;
   slot.stats.time_units = static_cast<double>(slot.step);

@@ -50,11 +50,12 @@ bool AkProcess::append_and_test(Label x) {
   // srp(string) is the prefix of length = smallest period. It is a Lyndon
   // word iff it is rotationally aperiodic and is its own least rotation;
   // its own smallest period comes straight out of the incremental border
-  // array, so the whole test runs on the stored sequence with no copy.
+  // array, and its least rotation is memoized per period, so the whole
+  // test runs on the stored sequence with no copy and no repeated scan.
   const std::size_t period = string_.period();
   const std::size_t sub = string_.prefix_period(period);
   if (sub < period && period % sub == 0) return false;  // symmetric prefix
-  return words::least_rotation_index(string_.sequence().data(), period) == 0;
+  return string_.period_least_rotation() == 0;
 }
 
 void AkProcess::fire(const Message* head, Context& ctx) {
@@ -95,9 +96,8 @@ void AkProcess::fire(const Message* head, Context& ctx) {
     // A4: learn the leader's label from the grown string and halt.
     ctx.note_action("A4");
     // LW(srp(p.string))[1]: srp(string) is the length-period() prefix, so
-    // the rotation scan runs on a view of the grown string — no copy.
-    set_leader_label(words::lyndon_rotation_first(string_.sequence().data(),
-                                                  string_.period()));
+    // its least rotation indexes the grown string — no copy.
+    set_leader_label(string_.sequence()[string_.period_least_rotation()]);
     set_done();
     ctx.send(Message::finish());
     halt_self();

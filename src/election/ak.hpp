@@ -71,9 +71,10 @@ class AkProcess final : public Process {
   // hring-state: excluded(a-priori knowledge: every process knows k)
   std::size_t k_;
   bool init_ = true;
-  /// p.string plus its incrementally-maintained border array (the border
-  /// array is an accelerator, not algorithm state: srp could be recomputed
-  /// from the string at every step with identical behaviour).
+  /// p.string plus its incrementally-maintained border array and least-
+  /// rotation memo (both accelerators, not algorithm state: srp and its
+  /// least rotation could be recomputed from the string at every step with
+  /// identical behaviour, comparison count included).
   // hring-state: bits=(2*k+1)*n*b
   words::IncrementalPeriod string_;
   /// Occurrence count per label, for the 2k+1 threshold. A flat vector:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
-#include "words/lyndon.hpp"
 
 namespace hring::election {
 
@@ -117,8 +116,7 @@ bool BatchAk::append_and_test(Node& node, sim::Label x) {
   const std::size_t period = node.string.period();
   const std::size_t sub = node.string.prefix_period(period);
   if (sub < period && period % sub == 0) return false;  // symmetric prefix
-  return words::least_rotation_index(node.string.sequence().data(), period) ==
-         0;
+  return node.string.period_least_rotation() == 0;
 }
 
 // hring-lint: hot-path
@@ -156,8 +154,8 @@ void BatchAk::fire(std::size_t g, const sim::Message* head,
   ctx.consume();
   if (!spec_.leader.test(g)) {
     // A4: learn the leader's label from the grown string and halt.
-    spec_.leader_label[g] = words::lyndon_rotation_first(
-        nodes_[g].string.sequence().data(), nodes_[g].string.period());
+    words::IncrementalPeriod& grown = nodes_[g].string;
+    spec_.leader_label[g] = grown.sequence()[grown.period_least_rotation()];
     spec_.has_leader.set(g);
     spec_.done.set(g);
     ctx.send(sim::Message::finish());

@@ -165,7 +165,8 @@ class BatchChangRoberts {
 /// grown string keeps the scalar representation (words::IncrementalPeriod
 /// plus the flat occurrence-count vector) in one arena vector, recycled
 /// across cells with capacity kept — the same machinery AkProcess uses, so
-/// the incremental Lyndon test performs the identical comparison sequence.
+/// the incremental, memoized Lyndon test credits the identical comparison
+/// count.
 class BatchAk {
  public:
   void configure(std::size_t slots, std::size_t n,

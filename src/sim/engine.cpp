@@ -194,12 +194,17 @@ bool StepEngine::step_once() {
     fire_process(pid, head, send_ready);
     age_[pid] = 0;
   }
-  // Age the enabled-but-skipped processes.
+  // Age the enabled-but-skipped processes: chosen and enabled are both
+  // ascending, so one merge pass finds the skipped ones.
+  std::size_t c = 0;
   for (const ProcessId pid : enabled_buf_) {
-    if (!std::binary_search(chosen_buf_.begin(), chosen_buf_.end(), pid)) {
+    if (c < chosen_buf_.size() && chosen_buf_[c] == pid) {
+      ++c;
+    } else {
       ++age_[pid];
     }
   }
+  HRING_ASSERT(c == chosen_buf_.size());  // chosen ⊆ enabled
   ++step_;
   stats_.steps = step_;
   // Under the synchronous daemon each step is one normalized time unit;

@@ -21,7 +21,10 @@ class Label {
   explicit constexpr Label(rep_type value) : value_(value) {}
 
   /// Raw representation; for hashing, printing and space accounting only —
-  /// algorithm code must restrict itself to comparisons.
+  /// algorithm code must restrict itself to comparisons. The one other use
+  /// is a counted loop inside words::, which compares raw values in a
+  /// register and credits add_comparisons() with exactly the number of
+  /// operator==/operator<=> calls the operator form would have made.
   [[nodiscard]] constexpr rep_type value() const { return value_; }
 
   friend std::strong_ordering operator<=>(Label a, Label b) {
@@ -39,6 +42,8 @@ class Label {
     return comparison_count_;
   }
   static void reset_comparison_count() { comparison_count_ = 0; }
+  /// Credits `n` comparisons made on raw values (see value()).
+  static void add_comparisons(std::uint64_t n) { comparison_count_ += n; }
 
  private:
   rep_type value_ = 0;

@@ -1,6 +1,7 @@
 #include "words/lyndon.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/assert.hpp"
 #include "words/periodicity.hpp"
@@ -16,21 +17,27 @@ std::size_t least_rotation_index(const Label* seq, std::size_t n) {
   // Booth's least-rotation algorithm: candidates i and j race with a shared
   // match length k; a mismatch eliminates the candidate holding the larger
   // label together with the k positions behind it. Indices i+k and j+k lie
-  // in [0, 2n), so one conditional subtraction replaces the modulo.
+  // in [0, 2n), so one conditional subtraction replaces the modulo. Labels
+  // are compared by raw value and counted in a local — one equality test
+  // per round plus one order test per mismatch, as operator== and
+  // operator> would have counted — and credited once at the end.
   std::size_t i = 0;
   std::size_t j = 1;
   std::size_t k = 0;
+  std::uint64_t comparisons = 0;
   while (i < n && j < n && k < n) {
     std::size_t ia = i + k;
     if (ia >= n) ia -= n;
     std::size_t jb = j + k;
     if (jb >= n) jb -= n;
-    const Label a = seq[ia];
-    const Label b = seq[jb];
+    const Label::rep_type a = seq[ia].value();
+    const Label::rep_type b = seq[jb].value();
+    ++comparisons;
     if (a == b) {
       ++k;
       continue;
     }
+    ++comparisons;
     if (a > b) {
       i = i + k + 1;
       if (i == j) ++i;
@@ -40,6 +47,7 @@ std::size_t least_rotation_index(const Label* seq, std::size_t n) {
     }
     k = 0;
   }
+  Label::add_comparisons(comparisons);
   return std::min(i, j);
 }
 
@@ -109,12 +117,8 @@ LabelSequence lyndon_rotation(const LabelSequence& seq) {
 }
 
 Label lyndon_rotation_first(const LabelSequence& seq) {
-  return lyndon_rotation_first(seq.data(), seq.size());
-}
-
-Label lyndon_rotation_first(const Label* seq, std::size_t n) {
-  HRING_EXPECTS(n > 0);
-  return seq[least_rotation_index(seq, n)];
+  HRING_EXPECTS(!seq.empty());
+  return seq[least_rotation_index(seq)];
 }
 
 std::vector<std::size_t> duval_factorization(const LabelSequence& seq) {

@@ -49,12 +49,9 @@ namespace hring::words {
 [[nodiscard]] LabelSequence lyndon_rotation(const LabelSequence& seq);
 
 /// First label of LW(σ) without materializing the rotation; this is the
-/// quantity A_k's action A4 assigns to p.leader: LW(srp(p.string))[1].
+/// quantity A_k's action A4 assigns to p.leader: LW(srp(p.string))[1]
+/// (A_k itself reads it through IncrementalPeriod::period_least_rotation).
 [[nodiscard]] Label lyndon_rotation_first(const LabelSequence& seq);
-
-/// Same, on a raw label range — A_k evaluates LW(srp(p.string))[1] on the
-/// length-|srp| prefix of its grown string without copying it.
-[[nodiscard]] Label lyndon_rotation_first(const Label* seq, std::size_t n);
 
 /// Chen–Fox–Lyndon factorization via Duval's algorithm: σ = w1 w2 … wm with
 /// each wi Lyndon and w1 >= w2 >= … >= wm. Returned as the list of factor

@@ -1,6 +1,7 @@
 #include "words/periodicity.hpp"
 
 #include "support/assert.hpp"
+#include "words/lyndon.hpp"
 
 namespace hring::words {
 
@@ -50,15 +51,39 @@ void IncrementalPeriod::push_back(Label label) {
     border_.push_back(0);
     return;
   }
+  // The KMP border step on raw values. The count is what Label's
+  // operator== would record for the same loop: one test per fallback
+  // round, plus the closing test (which repeats the one that ended the
+  // scan on a match).
+  const Label::rep_type value = label.value();
   std::size_t len = border_.back();
-  while (len > 0 && !(label == seq_[len])) len = border_[len - 1];
-  if (label == seq_[len]) ++len;
+  std::uint64_t comparisons = 1;
+  while (len > 0) {
+    ++comparisons;
+    if (value == seq_[len].value()) break;
+    len = border_[len - 1];
+  }
+  if (value == seq_[len].value()) ++len;
   border_.push_back(len);
+  Label::add_comparisons(comparisons);
 }
 
 std::size_t IncrementalPeriod::period() const {
   HRING_EXPECTS(!seq_.empty());
   return seq_.size() - border_.back();
+}
+
+std::size_t IncrementalPeriod::period_least_rotation() {
+  const std::size_t p = period();
+  if (p == memo_period_) {
+    Label::add_comparisons(memo_comparisons_);
+    return memo_index_;
+  }
+  const std::uint64_t before = Label::comparison_count();
+  memo_index_ = least_rotation_index(seq_.data(), p);
+  memo_comparisons_ = Label::comparison_count() - before;
+  memo_period_ = p;
+  return memo_index_;
 }
 
 }  // namespace hring::words

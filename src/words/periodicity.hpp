@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "words/label.hpp"
@@ -48,10 +49,12 @@ class IncrementalPeriod {
   void push_back(Label label);
 
   /// Rewinds to the empty sequence, keeping both buffers' capacity
-  /// (AkProcess::decode rebuilds strings into a recycled process).
+  /// (AkProcess::decode rebuilds strings into a recycled process), and
+  /// forgets the period_least_rotation() memo.
   void clear() {
     seq_.clear();
     border_.clear();
+    memo_period_ = 0;
   }
 
   [[nodiscard]] std::size_t size() const { return seq_.size(); }
@@ -72,9 +75,21 @@ class IncrementalPeriod {
     return border_.empty() ? 0 : border_.back();
   }
 
+  /// least_rotation_index of srp(sequence()), the length-period() prefix —
+  /// the test behind A_k's Leader predicate and action A4. Memoized on the
+  /// period: the sequence only grows, so one period always names the same
+  /// prefix, answer and comparison count. A hit credits Label's counter
+  /// with the count the first evaluation made, so the comparison
+  /// statistic is the same as recomputing. Requires size() > 0.
+  [[nodiscard]] std::size_t period_least_rotation();
+
  private:
   LabelSequence seq_;
   std::vector<std::size_t> border_;
+  /// The period_least_rotation() memo; memo_period_ == 0 means empty.
+  std::size_t memo_period_ = 0;
+  std::size_t memo_index_ = 0;
+  std::uint64_t memo_comparisons_ = 0;
 };
 
 }  // namespace hring::words

@@ -7,7 +7,9 @@
 // is compared, including the full sim::Stats (defaulted operator==, so
 // any divergence in steps, actions, message/bit accounting, space peaks
 // or label-comparison counts fails the grid cell that produced it).
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +156,86 @@ TEST(BatchEngineCrossCheck, FixedRingSourceMatchesScalarEngine) {
   const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
   const auto scalar = run_cells(config, CampaignBackend::kScalar, 2);
   expect_identical(batch, scalar, "fixed ring");
+}
+
+TEST(BatchEngineCrossCheck, ConvoyFairnessForcingMatchesScalarEngine) {
+  // The convoy daemon starves the largest enabled pid. At n = 17 that
+  // process stays enabled past the 128-step fairness bound, so the run
+  // depends on the aging pass forcing it; the grid above (n <= 7) ends
+  // before the bound is reached.
+  SweepConfig config;
+  config.election.algorithm = {AlgorithmId::kAk, 2, false};
+  config.election.scheduler = core::SchedulerKind::kConvoy;
+  config.source = core::RingSource::random_asymmetric(17);
+  config.cells = 10;
+  config.seed = 0xC0A7;
+  config.batch_slots = 3;
+  config.check_true_leader = true;
+
+  const auto batch = run_cells(config, CampaignBackend::kBatch, 1);
+  const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
+  expect_identical(batch, scalar, "convoy n=17");
+  for (const auto& cell : batch) {
+    EXPECT_EQ(cell.outcome, sim::Outcome::kTerminated);
+    EXPECT_TRUE(cell.verified);
+  }
+}
+
+// The cross-checks above compare the two backends with each other, so a
+// change that moved both in step (say, a memoized Lyndon test crediting
+// the wrong comparison count on every path) would pass them. These totals
+// pin absolute A_k counts over 300 random asymmetric rings per case.
+struct GoldenCase {
+  std::size_t k;
+  std::size_t n;
+  core::SchedulerKind scheduler;
+  std::uint64_t label_comparisons;
+  std::uint64_t messages_sent;
+  std::uint64_t steps;
+};
+
+TEST(BatchEngineGolden, AkTotalsMatchRecordedCounts) {
+  const GoldenCase cases[] = {
+      {.k = 2, .n = 12, .scheduler = core::SchedulerKind::kSynchronous,
+       .label_comparisons = 899288, .messages_sent = 110988,
+       .steps = 11199},
+      {.k = 3, .n = 17, .scheduler = core::SchedulerKind::kRandomSubset,
+       .label_comparisons = 2514505, .messages_sent = 223550,
+       .steps = 50352},
+      {.k = 1, .n = 5, .scheduler = core::SchedulerKind::kSynchronous,
+       .label_comparisons = 71936, .messages_sent = 19500, .steps = 4800},
+  };
+  for (const GoldenCase& golden : cases) {
+    SweepConfig config;
+    config.election.algorithm = {AlgorithmId::kAk, golden.k, false};
+    config.election.scheduler = golden.scheduler;
+    config.source = core::RingSource::random_asymmetric(golden.n);
+    config.cells = 300;
+    config.seed = 7 + 13 * golden.n + golden.k;
+    config.check_true_leader = true;
+    for (const auto backend :
+         {CampaignBackend::kBatch, CampaignBackend::kScalar}) {
+      std::string at = "Ak k=";
+      at += std::to_string(golden.k);
+      at += " n=";
+      at += std::to_string(golden.n);
+      at += " backend=";
+      at += core::campaign_backend_name(backend);
+      std::uint64_t comparisons = 0;
+      std::uint64_t messages = 0;
+      std::uint64_t steps = 0;
+      for (const CellRecord& cell : run_cells(config, backend, 1)) {
+        EXPECT_EQ(cell.outcome, sim::Outcome::kTerminated) << at;
+        EXPECT_TRUE(cell.verified) << at;
+        comparisons += cell.stats.label_comparisons;
+        messages += cell.stats.messages_sent;
+        steps += cell.stats.steps;
+      }
+      EXPECT_EQ(comparisons, golden.label_comparisons) << at;
+      EXPECT_EQ(messages, golden.messages_sent) << at;
+      EXPECT_EQ(steps, golden.steps) << at;
+    }
+  }
 }
 
 }  // namespace
