@@ -6,8 +6,10 @@
 //   scalar    — run_campaign with the scalar backend (CellQueue span
 //               claiming, merged histograms, one recycled scalar engine
 //               per worker);
-//   batch     — run_campaign with the batch backend (BatchRunner arena,
-//               batch_slots rings stepped per worker).
+//   batch     — run_campaign with the batch backend (slot-major stepping,
+//               warm lent arenas: each worker binds batch_slots cells to a
+//               BatchRunner recycled across campaigns and runs each cell to
+//               completion before the next).
 //
 // Both derive per-cell seeds the same way, verify every terminal
 // configuration and elect identical leaders; the batch backend's Stats

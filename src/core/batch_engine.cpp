@@ -12,8 +12,12 @@ void BatchRunner<Algo>::configure(const BatchConfig& config) {
   n_ = config.n;
   algo_.configure(config.slots, n_, config.algorithm);
   links_.reset(config.slots * n_);
-  slots_.clear();
+  // Resize, don't clear: a recycled runner keeps every slot's Stats
+  // vectors. An exception between activate() and step_all() (a cell ring
+  // that failed to generate mid-refill) leaves slots bound, so every slot
+  // is re-armed as free.
   slots_.resize(config.slots);
+  for (Slot& slot : slots_) slot.active = false;
   age_.assign(config.slots * n_, 0);
   free_.clear();
   // LIFO free list, lowest slot on top: a lightly loaded runner keeps
@@ -39,7 +43,6 @@ void BatchRunner<Algo>::activate(std::size_t cell,
   Slot& slot = slots_[s];
   slot.active = true;
   slot.cell = cell;
-  slot.step = 0;
   slot.label_bits = ring.label_bits();
   slot.stats.reset(n_);
   slot.scheduler.reset(config_.scheduler, election_seed);
@@ -50,11 +53,23 @@ void BatchRunner<Algo>::activate(std::size_t cell,
   for (std::size_t pid = 0; pid < n_; ++pid) {
     links_.reset_link(base + pid);
     age_[base + pid] = 0;
-    // Initial-space accounting, as in ExecutionCore::begin_run.
-    slot.stats.peak_space_bits = std::max(
-        slot.stats.peak_space_bits,
-        algo_.space_bits(base + pid, slot.label_bits));
   }
+}
+
+// hring-lint: hot-path
+template <class Algo>
+void BatchRunner<Algo>::fire_one(std::size_t s, sim::ProcessId pid) {
+  const std::size_t g = s * n_ + pid;
+  // Recompute the head: an earlier firing in this step may have changed
+  // the in-link — but only by appending, never by popping another
+  // process's head, so the head seen here is the one γ prescribes
+  // (same argument as StepEngine::step_once).
+  const sim::Message* head = links_.peek(in_link(s, pid));
+  HRING_ASSERT(!algo_.spec().halted.test(g));
+  HRING_ASSERT(algo_.enabled(g, head));
+  election::BatchFireContext ctx(slots_[s].stats, links_, in_link(s, pid),
+                                 out_link(s, pid), pid, head);
+  algo_.fire(g, head, ctx);
 }
 
 // hring-lint: hot-path
@@ -62,6 +77,7 @@ template <class Algo>
 bool BatchRunner<Algo>::step_slot(std::size_t s) {
   Slot& slot = slots_[s];
   const std::size_t base = s * n_;
+  const bool synchronous = config_.scheduler == SchedulerKind::kSynchronous;
 
   enabled_buf_.clear();
   for (sim::ProcessId pid = 0; pid < n_; ++pid) {
@@ -69,11 +85,20 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
     const sim::Message* head = links_.peek(in_link(s, pid));
     if (!algo_.spec().halted.test(g) && algo_.enabled(g, head)) {
       enabled_buf_.push_back(pid);
-    } else {
+    } else if (!synchronous) {
       age_[g] = 0;
     }
   }
   if (enabled_buf_.empty()) return false;
+
+  if (synchronous) {
+    // The synchronous daemon selects every enabled process, so none is
+    // ever skipped and every age stays 0: fire the enabled list, already
+    // in ascending pid order, as it stands.
+    for (const sim::ProcessId pid : enabled_buf_) fire_one(s, pid);
+    slot.stats.actions += enabled_buf_.size();
+    return true;
+  }
 
   chosen_buf_.clear();
   for (const sim::ProcessId pid : enabled_buf_) {
@@ -88,23 +113,10 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
   HRING_ASSERT(!chosen_buf_.empty());
 
   for (const sim::ProcessId pid : chosen_buf_) {
-    const std::size_t g = base + pid;
-    // Recompute the head: an earlier firing in this step may have changed
-    // the in-link — but only by appending, never by popping another
-    // process's head, so the head seen here is the one γ prescribes
-    // (same argument as StepEngine::step_once).
-    const sim::Message* head = links_.peek(in_link(s, pid));
-    HRING_ASSERT(!algo_.spec().halted.test(g));
-    HRING_ASSERT(algo_.enabled(g, head));
-    election::BatchFireContext ctx(slot.stats, links_, in_link(s, pid),
-                                   out_link(s, pid), pid, slot.label_bits,
-                                   head);
-    algo_.fire(g, head, ctx);
-    ++slot.stats.actions;
-    slot.stats.peak_space_bits = std::max(
-        slot.stats.peak_space_bits, algo_.space_bits(g, slot.label_bits));
-    age_[g] = 0;
+    fire_one(s, pid);
+    age_[base + pid] = 0;
   }
+  slot.stats.actions += chosen_buf_.size();
   // Age the enabled-but-skipped processes: one merge pass over the two
   // ascending sets (same pass as StepEngine::step_once).
   std::size_t c = 0;
@@ -116,9 +128,6 @@ bool BatchRunner<Algo>::step_slot(std::size_t s) {
     }
   }
   HRING_ASSERT(c == chosen_buf_.size());  // chosen ⊆ enabled
-  ++slot.step;
-  slot.stats.steps = slot.step;
-  slot.stats.time_units = static_cast<double>(slot.step);
   return true;
 }
 
@@ -136,22 +145,39 @@ bool BatchRunner<Algo>::slot_is_clean(std::size_t s) const {
 
 template <class Algo>
 BatchCellResult BatchRunner<Algo>::finish_slot(std::size_t s,
+                                               std::uint64_t steps,
                                                sim::Outcome outcome) {
   Slot& slot = slots_[s];
   const std::size_t base = s * n_;
   const election::SpecPlanes& spec = algo_.spec();
 
-  // Close the statistics (make_result's epilogue; label_comparisons was
-  // accumulated per step in step_all).
+  // Close the statistics (make_result's epilogue). The firings kept only
+  // the per-process and per-kind counters; the totals the scalar engine
+  // adds up per firing are their sums. A batch node's space never
+  // decreases within a run, so the peak over time is the final maximum
+  // (which covers the initial-space accounting of ExecutionCore::begin_run
+  // too).
+  sim::Stats& stats = slot.stats;
+  stats.steps = steps;
+  stats.time_units = static_cast<double>(steps);
   for (std::size_t pid = 0; pid < n_; ++pid) {
-    slot.stats.peak_link_occupancy = std::max(
-        slot.stats.peak_link_occupancy, links_.high_water(base + pid));
+    stats.messages_sent += stats.sent_by_process[pid];
+    stats.messages_received += stats.received_by_process[pid];
+    stats.peak_space_bits = std::max(
+        stats.peak_space_bits, algo_.space_bits(base + pid, slot.label_bits));
+    stats.peak_link_occupancy =
+        std::max(stats.peak_link_occupancy, links_.high_water(base + pid));
+  }
+  for (std::size_t kind = 0; kind < sim::kNumMsgKinds; ++kind) {
+    const sim::Message of_kind{static_cast<sim::MsgKind>(kind), sim::Label{}};
+    stats.message_bits_sent += stats.sent_by_kind[kind] *
+                               sim::message_bits(of_kind, slot.label_bits);
   }
 
   BatchCellResult result;
   result.cell = slot.cell;
   result.outcome = outcome;
-  result.stats = &slot.stats;
+  result.stats = &stats;
 
   std::size_t leaders = 0;
   for (std::size_t pid = 0; pid < n_; ++pid) {
@@ -190,25 +216,30 @@ BatchCellResult BatchRunner<Algo>::finish_slot(std::size_t s,
 
 // hring-lint: hot-path
 template <class Algo>
+BatchCellResult BatchRunner<Algo>::run_slot(std::size_t s) {
+  // The slot runs uninterrupted from its first step to its last, so the
+  // thread-local comparison counter's delta over the run is the cell's
+  // count.
+  const std::uint64_t comparisons_before = sim::Label::comparison_count();
+  std::uint64_t steps = 0;
+  sim::Outcome outcome = sim::Outcome::kBudgetExhausted;
+  for (; steps < config_.budget; ++steps) {
+    if (!step_slot(s)) {
+      outcome = slot_is_clean(s) ? sim::Outcome::kTerminated
+                                 : sim::Outcome::kDeadlock;
+      break;
+    }
+  }
+  slots_[s].stats.label_comparisons =
+      sim::Label::comparison_count() - comparisons_before;
+  return finish_slot(s, steps, outcome);
+}
+
+// hring-lint: hot-path
+template <class Algo>
 void BatchRunner<Algo>::step_all(std::vector<BatchCellResult>& done) {
   for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (!slots_[s].active) continue;
-    Slot& slot = slots_[s];
-    if (slot.step >= config_.budget) {
-      done.push_back(finish_slot(s, sim::Outcome::kBudgetExhausted));
-      continue;
-    }
-    // Slots interleave on one thread, so the thread-local comparison
-    // counter is sliced into per-slot deltas around each slot's step.
-    const std::uint64_t comparisons_before = sim::Label::comparison_count();
-    const bool progressed = step_slot(s);
-    slot.stats.label_comparisons +=
-        sim::Label::comparison_count() - comparisons_before;
-    if (!progressed) {
-      done.push_back(finish_slot(s, slot_is_clean(s)
-                                        ? sim::Outcome::kTerminated
-                                        : sim::Outcome::kDeadlock));
-    }
+    if (slots_[s].active) done.push_back(run_slot(s));
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -211,10 +213,71 @@ void run_scalar_cell(const SweepConfig& config, bool check_true,
   if (config.collect_telemetry) ws.registry.merge(observer.metrics());
 }
 
+/// Batch runners recycled across campaigns on this thread, the way
+/// run_election recycles its thread-local engines: a campaign after the
+/// first finds its workers' arenas already grown.
+template <class Algo>
+std::vector<std::unique_ptr<BatchRunner<Algo>>>& idle_runners() {
+  thread_local std::vector<std::unique_ptr<BatchRunner<Algo>>> idle;
+  return idle;
+}
+
+/// The runners one campaign lends its workers, taken from the calling
+/// thread's idle pool and returned to it when the campaign ends, normally
+/// or by exception. A runner on loan is out of the pool, so a campaign
+/// started from inside a cell sink borrows other runners.
+template <class Algo>
+class RunnerLoan {
+ public:
+  // hring-role: coordinator
+  explicit RunnerLoan(std::size_t workers) {
+    auto& idle = idle_runners<Algo>();
+    runners_.reserve(workers);
+    while (runners_.size() < workers) {
+      if (idle.empty()) {
+        runners_.push_back(std::make_unique<BatchRunner<Algo>>());
+      } else {
+        runners_.push_back(std::move(idle.back()));
+        idle.pop_back();
+      }
+    }
+  }
+
+  // hring-role: coordinator
+  ~RunnerLoan() {
+    auto& idle = idle_runners<Algo>();
+    for (auto& runner : runners_) {
+      try {
+        idle.push_back(std::move(runner));
+      } catch (const std::bad_alloc&) {
+        // No room in the pool: the runner is freed with runners_ instead.
+      }
+    }
+  }
+
+  RunnerLoan(const RunnerLoan&) = delete;
+  RunnerLoan& operator=(const RunnerLoan&) = delete;
+
+  /// Worker w's runner; the worker has it to itself until the campaign's
+  /// threads are joined.
+  // hring-role: consumer
+  [[nodiscard]] BatchRunner<Algo>& operator[](std::size_t w) {
+    return *runners_[w];
+  }
+
+ private:
+  // Filled and emptied by the campaign's calling thread; each worker
+  // thread uses its own entry between spawn and join.
+  // hring-shared: coordinator->consumer
+  std::vector<std::unique_ptr<BatchRunner<Algo>>> runners_;
+};
+
+// hring-role: consumer
 template <class Algo>
 void run_batch_worker(const SweepConfig& config, bool check_true,
                       std::optional<sim::ProcessId> fixed_expected,
-                      CellQueue& queue, WorkerState& ws) {
+                      CellQueue& queue, BatchRunner<Algo>& runner,
+                      WorkerState& ws) {
   BatchConfig batch_config;
   batch_config.slots = std::max<std::size_t>(config.batch_slots, 1);
   batch_config.n = config.source.ring_size();
@@ -223,7 +286,6 @@ void run_batch_worker(const SweepConfig& config, bool check_true,
   batch_config.budget = config.election.budget;
   batch_config.verify = config.verify;
   batch_config.check_true_leader = check_true;
-  BatchRunner<Algo> runner;
   runner.configure(batch_config);
 
   const bool fixed = config.source.kind == RingSource::Kind::kFixed;
@@ -232,7 +294,8 @@ void run_batch_worker(const SweepConfig& config, bool check_true,
   std::size_t next = 0;
   bool exhausted = false;
   for (;;) {
-    // Refill free slots from the queue, a span of cells at a time.
+    // Bind a free slot to each next cell from the queue, a span of cells
+    // at a time, then run every bound cell to completion.
     while (runner.free_slots() > 0 && !exhausted) {
       if (next >= span.end) {
         span = queue.pop();
@@ -275,6 +338,46 @@ void run_scalar_worker(const SweepConfig& config, bool check_true,
       run_scalar_cell(config, check_true, cell, ws);
     }
   }
+}
+
+/// Runs worker_fn(w) for every w in [0, workers): inline on the calling
+/// thread when there is one worker, else one thread per worker, rethrowing
+/// the first worker exception once every thread has joined.
+template <class WorkerFn>
+void run_workers(std::size_t workers, const WorkerFn& worker_fn) {
+  if (workers == 1) {
+    worker_fn(0);
+    return;
+  }
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.emplace_back([&, w] {
+      try {
+        worker_fn(w);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+/// The batch backend over `Algo`: every worker runs on a runner lent by
+/// the calling thread.
+template <class Algo>
+void run_batch_campaign(const SweepConfig& config, bool check_true,
+                        std::optional<sim::ProcessId> fixed_expected,
+                        CellQueue& queue, std::vector<WorkerState>& states) {
+  RunnerLoan<Algo> loan(states.size());
+  run_workers(states.size(), [&](std::size_t w) {
+    run_batch_worker<Algo>(config, check_true, fixed_expected, queue,
+                           loan[w], states[w]);
+  });
 }
 
 }  // namespace
@@ -336,38 +439,17 @@ CampaignResult run_campaign(const SweepConfig& config) {
 
   CellQueue queue(config.cells, workers, config.queue_grain);
 
-  const auto worker_fn = [&](WorkerState& ws) {
-    if (backend == CampaignBackend::kScalar) {
-      run_scalar_worker(config, check_true, queue, ws);
-    } else if (config.election.algorithm.id == election::AlgorithmId::kAk) {
-      run_batch_worker<election::BatchAk>(config, check_true, fixed_expected,
-                                          queue, ws);
-    } else {
-      run_batch_worker<election::BatchChangRoberts>(
-          config, check_true, fixed_expected, queue, ws);
-    }
-  };
-
   const auto start = std::chrono::steady_clock::now();
-  if (workers == 1) {
-    worker_fn(states[0]);
+  if (backend == CampaignBackend::kScalar) {
+    run_workers(workers, [&](std::size_t w) {
+      run_scalar_worker(config, check_true, queue, states[w]);
+    });
+  } else if (config.election.algorithm.id == election::AlgorithmId::kAk) {
+    run_batch_campaign<election::BatchAk>(config, check_true, fixed_expected,
+                                          queue, states);
   } else {
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          worker_fn(states[w]);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
+    run_batch_campaign<election::BatchChangRoberts>(
+        config, check_true, fixed_expected, queue, states);
   }
   const auto elapsed = std::chrono::duration<double>(
       std::chrono::steady_clock::now() - start);

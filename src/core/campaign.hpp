@@ -8,7 +8,9 @@
 //
 // Backends. Cells execute either on the scalar engine (run_election, one
 // recycled StepEngine/EventEngine per worker thread) or on the batch
-// engine (core/batch_engine.hpp, `batch_slots` rings stepped per arena).
+// engine (core/batch_engine.hpp: each worker binds up to `batch_slots`
+// cells to an arena and steps them to completion one slot at a time, on a
+// runner the calling thread recycles across campaigns).
 // The batch backend covers the step engine with A_k and Chang–Roberts;
 // kAuto picks it whenever it applies and the scalar engine otherwise, and
 // both produce byte-identical per-cell Stats (the batch engine's
@@ -128,7 +130,10 @@ struct SweepConfig {
   /// the per-run registries into CampaignResult::metrics (the CLI's
   /// --metrics-out semantics). Forces the scalar backend under kAuto.
   bool collect_telemetry = false;
-  /// Rings stepped concurrently per batch-backend worker.
+  /// Batch backend: ring slots in each worker's arena — the cells a worker
+  /// binds per refill before stepping each one to completion, slot after
+  /// slot (slot-major stepping; no interleaving across slots). Results do
+  /// not depend on it.
   std::size_t batch_slots = 64;
   /// Cells per queue claim; 0 = auto (see CellQueue).
   std::size_t queue_grain = 0;

@@ -34,19 +34,20 @@ using sim::ProcessId;
 
 /// Per-firing execution context of the batch engine: the accounting of the
 /// scalar FireContext (sim/engine.hpp) without observers or fault
-/// injection, over arena links instead of per-ring Link objects.
+/// injection, over arena links instead of per-ring Link objects. It keeps
+/// only the per-process and per-kind counters; the run totals they sum to
+/// (messages sent/received, message bits) are derived once per cell when
+/// the batch engine closes the slot's Stats.
 class BatchFireContext {
  public:
   BatchFireContext(sim::Stats& stats, sim::LinkPlane& links,
                    std::size_t in_link, std::size_t out_link,
-                   sim::ProcessId pid, std::size_t label_bits,
-                   const sim::Message* head)
+                   sim::ProcessId pid, const sim::Message* head)
       : stats_(stats),
         links_(links),
         in_link_(in_link),
         out_link_(out_link),
         pid_(pid),
-        label_bits_(label_bits),
         head_(head) {}
 
   // hring-lint: hot-path
@@ -59,7 +60,6 @@ class BatchFireContext {
     // must not count toward the label-comparison statistic.
     HRING_ASSERT(msg.kind == head_->kind &&
                  msg.label.value() == head_->label.value());
-    ++stats_.messages_received;
     ++stats_.received_by_kind[sim::kind_index(msg.kind)];
     ++stats_.received_by_process[pid_];
     return msg;
@@ -67,10 +67,8 @@ class BatchFireContext {
 
   // hring-lint: hot-path
   void send(const sim::Message& msg) {
-    ++stats_.messages_sent;
     ++stats_.sent_by_kind[sim::kind_index(msg.kind)];
     ++stats_.sent_by_process[pid_];
-    stats_.message_bits_sent += sim::message_bits(msg, label_bits_);
     links_.send(out_link_, msg);
   }
 
@@ -82,7 +80,6 @@ class BatchFireContext {
   std::size_t in_link_;
   std::size_t out_link_;
   sim::ProcessId pid_;
-  std::size_t label_bits_;
   const sim::Message* head_;
   bool consumed_ = false;
 };
@@ -150,7 +147,8 @@ class BatchChangRoberts {
   [[nodiscard]] std::size_t space_bits(std::size_t /*g*/,
                                        std::size_t label_bits) const {
     // Mirrors ChangRobertsProcess::space_bits: id + leader labels plus
-    // INIT/isLeader/done Booleans.
+    // INIT/isLeader/done Booleans. Constant, so never decreasing: the batch
+    // engine reads the peak off the final configuration.
     return 2 * label_bits + 3;
   }
 
@@ -186,7 +184,9 @@ class BatchAk {
   [[nodiscard]] std::size_t space_bits(std::size_t g,
                                        std::size_t label_bits) const {
     // Mirrors AkProcess::space_bits: |string| labels + p.id + p.leader +
-    // 3 Booleans; the border array is a recomputable accelerator.
+    // 3 Booleans; the border array is a recomputable accelerator. The
+    // string only grows within a run, so space never decreases: the batch
+    // engine reads the peak off the final configuration.
     return (nodes_[g].string.size() + 2) * label_bits + 3;
   }
 

@@ -5,8 +5,6 @@
 
 namespace hring::words {
 
-thread_local std::uint64_t Label::comparison_count_ = 0;
-
 std::string to_string(Label label) { return std::to_string(label.value()); }
 
 std::string to_string(const LabelSequence& seq) {

@@ -47,7 +47,10 @@ class Label {
 
  private:
   rep_type value_ = 0;
-  static thread_local std::uint64_t comparison_count_;
+  // Defined inline: every translation unit reads the variable directly
+  // instead of through a cross-unit TLS wrapper call, which UBSan's null
+  // check misreads in some test binaries.
+  static inline thread_local std::uint64_t comparison_count_ = 0;
 };
 
 /// A finite word over labels. LLabels(p) prefixes, ring label sequences and

@@ -2,7 +2,7 @@
 // Stats against the scalar StepEngine for every covered configuration.
 //
 // A campaign is run twice over the same cell grid — once on the batch
-// backend (several rings interleaved per arena, to exercise slot
+// backend (more cells than slots per arena, to exercise slot
 // recycling) and once on the scalar backend — and every per-cell field
 // is compared, including the full sim::Stats (defaulted operator==, so
 // any divergence in steps, actions, message/bit accounting, space peaks
@@ -16,7 +16,11 @@
 
 #include "core/campaign.hpp"
 #include "election/algorithm.hpp"
+#include "election/batch_step.hpp"
+#include "ring/generator.hpp"
+#include "sim/batch_link.hpp"
 #include "sim/run_result.hpp"
+#include "support/rng.hpp"
 
 namespace hring {
 namespace {
@@ -142,6 +146,56 @@ TEST(BatchEngineCrossCheck, BudgetExhaustionMatchesScalarEngine) {
   }
 }
 
+TEST(BatchEngineCrossCheck, BudgetCutCellsMatchScalarEngineEverywhere) {
+  // The batch engine derives its run totals (messages, message bits, peak
+  // space) once per cell, when the slot closes. Cells the budget stops
+  // mid-election pin that derivation on partial runs: for both algorithms
+  // and every daemon, each budget lies below the election's step count.
+  struct Case {
+    election::AlgorithmConfig algorithm;
+    core::RingSource source;
+  };
+  const Case cases[] = {
+      {{AlgorithmId::kAk, 1, false}, core::RingSource::random_asymmetric(5)},
+      {{AlgorithmId::kAk, 2, false}, core::RingSource::random_asymmetric(7)},
+      {{AlgorithmId::kChangRoberts, 1, false}, core::RingSource::distinct(6)},
+  };
+  for (const Case& c : cases) {
+    // Every election needs at least 2n + 1 steps: the winning token's n
+    // hops after the first firing, then the n hops of the finish wave.
+    const std::uint64_t n = c.source.n;
+    for (const auto scheduler : kAllSchedulers) {
+      for (const std::uint64_t budget : {std::uint64_t{1}, n, 2 * n}) {
+        SweepConfig config;
+        config.election.algorithm = c.algorithm;
+        config.election.scheduler = scheduler;
+        config.election.budget = budget;
+        config.source = c.source;
+        config.cells = 5;
+        config.seed = 0xB0D6E7 + 100 * budget +
+                      static_cast<std::uint64_t>(scheduler);
+        config.batch_slots = 2;
+        config.verify = false;  // truncated runs have no terminal state
+
+        std::string at = election::algorithm_name(c.algorithm.id);
+        at += " n=";
+        at += std::to_string(n);
+        at += " sched=";
+        at += core::scheduler_kind_name(scheduler);
+        at += " budget=";
+        at += std::to_string(budget);
+        const auto batch = run_cells(config, CampaignBackend::kBatch, 2);
+        const auto scalar = run_cells(config, CampaignBackend::kScalar, 1);
+        expect_identical(batch, scalar, at);
+        for (const auto& cell : batch) {
+          EXPECT_EQ(cell.outcome, sim::Outcome::kBudgetExhausted) << at;
+          EXPECT_EQ(cell.stats.steps, budget) << at;
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchEngineCrossCheck, FixedRingSourceMatchesScalarEngine) {
   const auto ring = ring::LabeledRing::from_values({2, 1, 3, 1, 2, 1});
   SweepConfig config;
@@ -235,6 +289,79 @@ TEST(BatchEngineGolden, AkTotalsMatchRecordedCounts) {
       EXPECT_EQ(messages, golden.messages_sent) << at;
       EXPECT_EQ(steps, golden.steps) << at;
     }
+  }
+}
+
+// The batch engine reads a cell's peak_space_bits off its final
+// configuration, which is the peak over time only if no node's space ever
+// shrinks during a run. Drive each batch algorithm directly, one random
+// enabled process per step, and check every node after every firing.
+template <class Algo>
+void expect_space_never_decreases(const election::AlgorithmConfig& algorithm,
+                                  const ring::LabeledRing& ring,
+                                  std::uint64_t seed,
+                                  const std::string& where) {
+  const std::size_t n = ring.size();
+  const std::size_t label_bits = ring.label_bits();
+  Algo algo;
+  algo.configure(1, n, algorithm);
+  algo.reset_slot(0, ring);
+  sim::LinkPlane links;
+  links.reset(n);
+  sim::Stats stats;
+  stats.reset(n);
+  support::Rng rng(seed);
+
+  std::vector<std::size_t> space(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    space[g] = algo.space_bits(g, label_bits);
+  }
+  std::vector<sim::ProcessId> enabled;
+  std::size_t growths = 0;
+  for (;;) {
+    enabled.clear();
+    for (sim::ProcessId pid = 0; pid < n; ++pid) {
+      const sim::Message* head = links.peek(pid == 0 ? n - 1 : pid - 1);
+      if (!algo.spec().halted.test(pid) && algo.enabled(pid, head)) {
+        enabled.push_back(pid);
+      }
+    }
+    if (enabled.empty()) break;
+    const sim::ProcessId pid = enabled[rng.below(enabled.size())];
+    const std::size_t in = pid == 0 ? n - 1 : pid - 1;
+    const sim::Message* head = links.peek(in);
+    election::BatchFireContext ctx(stats, links, in, pid, pid, head);
+    algo.fire(pid, head, ctx);
+    for (std::size_t g = 0; g < n; ++g) {
+      const std::size_t now = algo.space_bits(g, label_bits);
+      ASSERT_GE(now, space[g]) << where << " node " << g;
+      if (now > space[g]) ++growths;
+      space[g] = now;
+    }
+  }
+  for (std::size_t g = 0; g < n; ++g) {
+    EXPECT_TRUE(algo.spec().halted.test(g)) << where << " node " << g;
+  }
+  if (algorithm.id == AlgorithmId::kAk) {
+    EXPECT_GT(growths, 0u) << where;  // A_k strings grow as tokens pass
+  }
+}
+
+TEST(BatchAlgorithmSpace, NeverDecreasesDuringARun) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    support::Rng rng(seed);
+    const std::size_t k = 1 + seed % 3;
+    const std::size_t n = 3 + seed % 7;
+    const auto ak_ring =
+        ring::random_asymmetric_ring(n, k, (n + k - 1) / k + 2, rng);
+    ASSERT_TRUE(ak_ring.has_value());
+    std::string at = " seed=";
+    at += std::to_string(seed);
+    expect_space_never_decreases<election::BatchAk>(
+        {AlgorithmId::kAk, k, false}, *ak_ring, seed, "Ak" + at);
+    expect_space_never_decreases<election::BatchChangRoberts>(
+        {AlgorithmId::kChangRoberts, 1, false}, ring::distinct_ring(n, rng),
+        seed, "CR" + at);
   }
 }
 

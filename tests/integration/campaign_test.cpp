@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -298,6 +299,146 @@ TEST(CampaignTest, RecycledEnginesInvariantUnderWorkerCount) {
     expect_matches_serial(config, [&config](std::size_t cell) {
       return distinct_cell_ring(config, cell);
     });
+  }
+}
+
+/// The registry document of `config` run on `backend` with `workers`.
+std::string campaign_json(SweepConfig config, CampaignBackend backend,
+                          std::size_t workers) {
+  config.backend = backend;
+  config.workers = workers;
+  return registry_json(core::run_campaign(config).metrics);
+}
+
+/// A Chang–Roberts campaign, for alternating with ak_campaign() on the
+/// same recycled runners.
+SweepConfig cr_campaign() {
+  SweepConfig config;
+  config.election.algorithm = {AlgorithmId::kChangRoberts, 1, false};
+  config.election.scheduler = core::SchedulerKind::kSynchronous;
+  config.source = core::RingSource::distinct(9);
+  config.cells = 24;
+  config.seed = 0xC4A11;
+  config.batch_slots = 5;
+  config.check_true_leader = true;
+  return config;
+}
+
+TEST(CampaignTest, RecycledRunnersCarryNothingBetweenCampaigns) {
+  // Batch campaigns on one thread borrow the same recycled runners. Back
+  // to back, with the algorithm, n, k, scheduler and batch_slots all
+  // changing, each must still match the scalar engine's registry.
+  std::vector<SweepConfig> configs;
+  configs.push_back(cr_campaign());
+  configs.push_back(ak_campaign());
+  SweepConfig wide = ak_campaign();
+  wide.election.algorithm.k = 3;
+  wide.election.scheduler = core::SchedulerKind::kConvoy;
+  wide.source = core::RingSource::random_asymmetric(11);
+  wide.batch_slots = 64;
+  configs.push_back(wide);
+  SweepConfig narrow = cr_campaign();
+  narrow.election.scheduler = core::SchedulerKind::kRoundRobin;
+  narrow.source = core::RingSource::distinct(3);
+  narrow.batch_slots = 1;
+  configs.push_back(narrow);
+  SweepConfig small = ak_campaign();
+  small.election.algorithm.k = 1;
+  small.election.scheduler = core::SchedulerKind::kSynchronous;
+  small.source = core::RingSource::random_asymmetric(4);
+  small.batch_slots = 2;
+  configs.push_back(small);
+
+  for (const std::size_t workers : {1u, 3u}) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_EQ(campaign_json(configs[i], CampaignBackend::kBatch, workers),
+                campaign_json(configs[i], CampaignBackend::kScalar, 1))
+          << "campaign " << i << " workers=" << workers;
+    }
+  }
+}
+
+TEST(CampaignTest, CampaignAfterAThrowingSinkStartsClean) {
+  // A sink that throws mid-campaign returns its runners with slots still
+  // bound to unfinished cells; the next campaign must not see them.
+  const SweepConfig config = ak_campaign();
+  const std::string expected =
+      campaign_json(config, CampaignBackend::kScalar, 1);
+  for (const std::size_t workers : {1u, 2u}) {
+    SweepConfig throwing = config;
+    throwing.batch_slots = 7;
+    throwing.backend = CampaignBackend::kBatch;
+    throwing.workers = workers;
+    throwing.cell_sink = [](const core::CellView& view) {
+      if (view.cell == 5) throw std::runtime_error("mid-run");
+    };
+    EXPECT_THROW((void)core::run_campaign(throwing), std::runtime_error);
+    EXPECT_EQ(campaign_json(config, CampaignBackend::kBatch, workers),
+              expected)
+        << "workers=" << workers;
+  }
+}
+
+TEST(CampaignTest, CampaignStartedFromASinkBorrowsOtherRunners) {
+  // A single-worker campaign runs inline on the caller's runner; a
+  // campaign started from its sink must not borrow that runner while the
+  // outer cell's Stats still live in it.
+  SweepConfig inner = ak_campaign();
+  inner.source = core::RingSource::random_asymmetric(9);
+  inner.cells = 6;
+  const std::string inner_expected =
+      campaign_json(inner, CampaignBackend::kScalar, 1);
+
+  SweepConfig outer = ak_campaign();
+  const std::string outer_expected =
+      campaign_json(outer, CampaignBackend::kScalar, 1);
+  std::vector<std::string> inner_runs;
+  std::size_t sunk = 0;
+  outer.backend = CampaignBackend::kBatch;
+  outer.workers = 1;
+  outer.cell_sink = [&](const core::CellView& view) {
+    ++sunk;
+    const sim::Stats before = view.stats;
+    if (view.cell % 8 == 3) {
+      inner_runs.push_back(campaign_json(inner, CampaignBackend::kBatch, 1));
+    }
+    EXPECT_EQ(view.stats, before) << "cell " << view.cell;
+  };
+  EXPECT_EQ(registry_json(core::run_campaign(outer).metrics),
+            outer_expected);
+  EXPECT_EQ(sunk, outer.cells);
+  ASSERT_EQ(inner_runs.size(), 4u);
+  for (const std::string& run : inner_runs) EXPECT_EQ(run, inner_expected);
+}
+
+TEST(CampaignTest, ConcurrentCallersKeepSeparateRunners) {
+  // Each calling thread recycles its own runners; two threads running
+  // batch campaigns side by side must both match the scalar registries.
+  const std::vector<SweepConfig> configs = {ak_campaign(), cr_campaign()};
+  std::vector<std::string> expected;
+  for (const SweepConfig& config : configs) {
+    expected.push_back(campaign_json(config, CampaignBackend::kScalar, 1));
+  }
+  constexpr std::size_t kRounds = 3;
+  std::array<std::vector<std::string>, 2> got;
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    callers.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        // Each thread alternates algorithms, out of phase with the other.
+        const SweepConfig& config = configs[(t + round) % configs.size()];
+        got[t].push_back(
+            campaign_json(config, CampaignBackend::kBatch, 1 + round % 2));
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].size(), kRounds);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(got[t][round], expected[(t + round) % configs.size()])
+          << "thread " << t << " round " << round;
+    }
   }
 }
 
